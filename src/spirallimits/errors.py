@@ -18,7 +18,7 @@ class PrecisionExhausted(SpiralLimitsError):
 
 
 class WindowTooLarge(SpiralLimitsError):
-    """A window enumeration would exceed the configured candidate budget."""
+    """A window enumeration would exceed the fixed output budget."""
 
 
 class WindowTooSmall(SpiralLimitsError):

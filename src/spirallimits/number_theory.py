@@ -38,7 +38,8 @@ class AngleSpec:
         return AngleEnclosure(lower=lo, upper=hi, width=width)
 
     def _bounds(self, prec: int):
-        raise NotImplementedError
+        x = self.interval(prec)
+        return mp.mpf(x.a), mp.mpf(x.b)
 
     def interval(self, prec: int):
         """Certified enclosure of the angle as an iv.mpf at the given precision."""
@@ -80,10 +81,6 @@ class RationalAngle(AngleSpec):
     def _interval(self, prec: int):
         return iv.mpf(self.num) / iv.mpf(self.den)
 
-    def _bounds(self, prec: int):
-        x = self.interval(prec)
-        return mp.mpf(x.a), mp.mpf(x.b)
-
     def canonical(self) -> str:
         return f"rat:{self.num}/{self.den}"
 
@@ -116,10 +113,6 @@ class QuadraticAngle(AngleSpec):
 
     def _interval(self, prec: int):
         return (iv.mpf(self.a) + iv.mpf(self.b) * iv.sqrt(self.d)) / iv.mpf(self.c)
-
-    def _bounds(self, prec: int):
-        x = self.interval(prec)
-        return mp.mpf(x.a), mp.mpf(x.b)
 
     def canonical(self) -> str:
         return f"quad:{self.a},{self.b},{self.c},{self.d}"
@@ -174,10 +167,6 @@ class DecimalAngle(AngleSpec):
         a = iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
         b = iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
         return iv.mpf([a.a, b.b])
-
-    def _bounds(self, prec: int):
-        x = self.interval(prec)
-        return mp.mpf(x.a), mp.mpf(x.b)
 
     def canonical(self) -> str:
         return f"dec:{self.digits}@{self.precision}"

@@ -1,9 +1,13 @@
 """Fermat spiral points sqrt(n) * e^(2*pi*i*alpha*n) at arbitrary index.
 
-Positions are produced with certified error bounds.  Window enumeration runs
-a fast double-double filter over the annulus of candidate indices (the only
-indices that can fall in a ball, since |x_n| = sqrt(n)) and then certifies
-every candidate with interval arithmetic, so windows are complete.
+Positions are produced with certified error bounds.  Window candidates come
+from the convergent data of alpha: writing m = n + k and delta = k*alpha - p,
+a point x_m in B_W(x_n) forces |k| <= 2W sqrt(n) + W^2 and
+|delta| <= W / (4 (sqrt(n) - W)).  These are the points of the unimodular
+lattice {(k, k*alpha - p)} in a box of area about 2W^2, listed from a
+Gauss-reduced convergent basis in time independent of n.  A float filter
+trims them and interval arithmetic certifies every survivor, so windows are
+complete; nearest neighbours are a radius query on the same enumerator.
 """
 
 from __future__ import annotations
@@ -16,19 +20,21 @@ import numpy as np
 from mpmath import iv, mp
 
 from .errors import InvalidSpec, PrecisionExhausted, WindowTooLarge
+from .lattice2d import Basis2, gauss_reduce
 from .number_theory import (
     AngleSpec,
+    DecimalAngle,
     QuadraticAngle,
     RationalAngle,
     _iv_of,
     _quad_floor,
+    convergents,
     largest_denominator_at_most,
 )
 
 PREC_PAD = 96  # default evaluation bits beyond bits(n)
-_ANCHOR_PREC = 220
 _FILTER_SLACK = 1e-6  # float-filter inclusion margin, certified away later
-_SPLIT = 134217729.0  # 2^27 + 1, Dekker splitter
+_MAX_WINDOW_POINTS = 4_000_000  # output budget: enumerated lattice points or ball indices
 
 
 # ---------------------------------------------------------------------------
@@ -125,80 +131,6 @@ def spiral_point(alpha: AngleSpec, n: int, prec: int | None = None) -> SpiralPoi
 
 
 # ---------------------------------------------------------------------------
-# double-double angle kernel
-# ---------------------------------------------------------------------------
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    p = a * b
-    ta = _SPLIT * a
-    ahi = ta - (ta - a)
-    alo = a - ahi
-    tb = _SPLIT * b
-    bhi = tb - (tb - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _dd_split(value) -> tuple[float, float]:
-    """Split a high-precision real into a double-double pair."""
-    hi = float(value)
-    lo = float(value - mp.mpf(hi))
-    return hi, lo
-
-
-def _frac_mid(alpha: AngleSpec, n: int, prec: int = _ANCHOR_PREC):
-    x = _iv_of(_frac_exact(alpha, n), prec)
-    with mp.workprec(prec + 16):
-        return (mp.mpf(x.a) + mp.mpf(x.b)) / 2
-
-
-class _AngleKernel:
-    """Per-angle cache of double-double data for vectorized windows."""
-
-    def __init__(self, alpha: AngleSpec):
-        self.alpha = alpha
-        with mp.workprec(_ANCHOR_PREC):
-            self.delta_dd = _dd_split(_frac_mid(alpha, 1))
-
-    def theta_dd_at(self, n: int):
-        with mp.workprec(_ANCHOR_PREC):
-            return _dd_split(_frac_mid(self.alpha, n))
-
-    def frac_array(self, n_anchor: int, k: np.ndarray):
-        """frac(alpha * (n_anchor + k)) as a double-double array pair."""
-        thi, tlo = self.theta_dd_at(n_anchor)
-        dhi, dlo = self.delta_dd
-        kf = k.astype(np.float64)
-        ph, pl = _two_prod(kf, dhi)
-        q = kf * dlo
-        sh, sl = _two_sum(ph, thi)
-        lo = sl + (pl + q) + tlo
-        rh, rl = _two_sum(sh, lo)
-        f = rh - np.floor(rh)
-        fh, fl = _two_sum(f, rl)
-        total = fh + fl
-        fh = np.where(total < 0, fh + 1.0, fh)
-        fh = np.where(total >= 1.0, fh - 1.0, fh)
-        return fh, fl
-
-
-def _signed_angle_gap(fh, fl, chi, clo):
-    """Wrap (theta - theta_c) to [-1/2, 1/2) turns, returned as float64."""
-    dh = fh - chi  # rounding <= 2^-53 absolute on [0,1) operands
-    dl = fl - clo
-    d = dh + dl
-    d = np.where(d >= 0.5, d - 1.0, d)
-    d = np.where(d < -0.5, d + 1.0, d)
-    return d
-
-
-# ---------------------------------------------------------------------------
 # windows
 # ---------------------------------------------------------------------------
 
@@ -215,66 +147,142 @@ class IndexWindow:
         return len(self.indices)
 
 
-def _annulus_bounds(rc_low, rc_high, radius: float, n_min: int):
-    lo = max(rc_low - radius, 0.0) ** 2
-    hi = (rc_high + radius) ** 2
-    n_lo = max(n_min, int(math.floor(lo)) - 1)
-    n_hi = int(math.ceil(hi)) + 1
-    return n_lo, n_hi
+def _convergent_pair(alpha: AngleSpec, k_max: int):
+    """Consecutive convergents (p, q), (p', q') with q <= k_max < q'.
+
+    Any consecutive pair is a basis of the lattice {(k, k*alpha - p)}.  The
+    convergent 1/0 heads the list so integer angles have a pair too, and a
+    rational whose expansion ends at or below k_max gets its final pair.
+    """
+    count = 16
+    while True:
+        seq = [(1, 0)] + [(c.p, c.q) for c in convergents(alpha, count)]
+        for a, b in zip(seq, seq[1:]):
+            if b[1] > k_max:
+                return a, b
+        if len(seq) <= count:
+            return seq[-2], seq[-1]
+        count *= 2
 
 
-def _filter_candidates(kernel: _AngleKernel, rc: float, theta_c, radius: float,
-                       n_lo: int, n_hi: int, chunk: int = 1 << 20):
-    """Annulus scan; returns indices passing the float filter with slack."""
-    chi, clo = theta_c
-    keep = []
-    limit2 = (radius + _FILTER_SLACK) ** 2
-    for start in range(n_lo, n_hi + 1, chunk):
-        stop = min(start + chunk, n_hi + 1)
-        k = np.arange(0, stop - start, dtype=np.int64)
-        fh, fl = kernel.frac_array(start, k)
-        ns = np.arange(start, stop, dtype=np.int64)
-        rn = np.sqrt(ns.astype(np.float64))
-        dtheta = _signed_angle_gap(fh, fl, chi, clo)
-        s = np.sin(np.pi * dtheta)
-        d2 = (rn - rc) ** 2 + 4.0 * rn * rc * s * s
-        mask = d2 <= limit2
-        if mask.any():
-            keep.append(ns[mask])
-    if keep:
-        return np.concatenate(keep)
-    return np.empty(0, dtype=np.int64)
+def _lattice_box(alpha: AngleSpec, k_max: int, half_turns: float, delta0: float):
+    """Lattice points (k, delta = k*alpha - p), |k| <= k_max, |delta - delta0| <= half_turns.
+
+    Returns k (exact int64) and delta - delta0 (float64).  The convergent
+    basis is scaled so the box is a square and Gauss-reduced there; a Cramer
+    bound limits the rows along the shorter vector and each row is cut to the
+    box, so the work is the output plus O(W) rows whatever k_max is.  k and p
+    come from the integer transform; delta from the two basis residues, each
+    evaluated once at high precision, with coefficients no larger than the
+    box needs.  A decimal literal walks the lattice of its midpoint, with the
+    box widened by its half-ulp times k_max.
+    """
+    if isinstance(alpha, DecimalAngle):
+        v = alpha.as_fraction()
+        half_turns += k_max * float(alpha.ulp()) / 2
+        alpha = RationalAngle(v.numerator, v.denominator)
+    (pa, qa), (pb, qb) = _convergent_pair(alpha, k_max)
+    # q*alpha - p cancels about bits(q) bits; evaluate alpha well past that
+    prec = 2 * max(qa, qb, abs(pa), abs(pb), 2).bit_length() + 96
+    x = alpha.interval(prec)
+    with mp.workprec(prec):
+        mid = (mp.mpf(x.a) + mp.mpf(x.b)) / 2
+        scale = k_max / half_turns
+        t = gauss_reduce(Basis2((qa, float(qa * mid - pa) * scale),
+                                (qb, float(qb * mid - pb) * scale))).transform
+        (k1, p1), (k2, p2) = (
+            (int(t[0, c]) * qa + int(t[1, c]) * qb, int(t[0, c]) * pa + int(t[1, c]) * pb)
+            for c in (0, 1)
+        )
+        r1, r2 = float(k1 * mid - p1), float(k2 * mid - p2)
+        e = k2 * p1 - k1 * p2  # = k1*r2 - k2*r1 exactly, so +-1
+        # (x, y) = i*(k1, r1) + j*(k2, r2) has i = e*(x*r2 - y*k2), j = e*(k1*y - x*r1);
+        # count (i, j) from the lattice point nearest the box center (0, delta0)
+        i0, j0 = round(-e * delta0 * k2), round(e * delta0 * k1)
+        k0, p0 = i0 * k1 + j0 * k2, i0 * p1 + j0 * p2
+        g0 = float(k0 * mid - p0) - delta0
+    bj = math.ceil(k_max * abs(r1) + half_turns * abs(k1)) + 1
+    j = np.arange(-bj, bj + 1, dtype=np.int64)
+    lo, hi = np.full(len(j), -np.inf), np.full(len(j), np.inf)
+    for start, step, half in ((k0 + j * k2, k1, k_max), (g0 + j * r2, r1, half_turns)):
+        if step == 0:
+            hi[np.abs(start) > half] = -np.inf
+            continue
+        a, b = (-half - start) / step, (half - start) / step
+        lo, hi = np.maximum(lo, np.minimum(a, b)), np.minimum(hi, np.maximum(a, b))
+    ok = hi >= lo
+    i_lo = np.floor(np.where(ok, lo, 0.0)).astype(np.int64)
+    counts = np.ceil(np.where(ok, hi, -1.0)).astype(np.int64) - i_lo + 1
+    total = int(counts.sum())
+    if total > _MAX_WINDOW_POINTS:
+        raise WindowTooLarge(f"window box holds ~{total} lattice points (> {_MAX_WINDOW_POINTS})")
+    first = np.cumsum(counts) - counts
+    i = np.arange(total, dtype=np.int64) - np.repeat(first - i_lo, counts)
+    j = np.repeat(j, counts)
+    k = k0 + i * k1 + j * k2
+    gap = g0 + i * r1 + j * r2
+    keep = (np.abs(k) <= k_max) & (np.abs(gap) <= half_turns)
+    return k[keep], gap[keep]
 
 
-def _fast_offsets(kernel: _AngleKernel, alpha: AngleSpec, cand: np.ndarray,
+def _candidates(alpha: AngleSpec, n0: int, rc: float, delta0: float,
+                radius: float, n_min: int):
+    """Indices m >= n_min passing the float distance filter around a center.
+
+    The center has modulus rc, with rc^2 within 1/2 of n0, and angle
+    frac(n0*alpha) + delta0 turns.  Since |x_m| = sqrt(m) and
+    sin(pi t) >= 2t on [0, 1/2], membership forces |m - n0| <= w(2 rc + w) + 1
+    and an angle gap of at most w / (4 (rc - w)) turns.  Returns m sorted,
+    the angle of x_m minus the center's in turns, and the float squared
+    distance.
+    """
+    w = radius + _FILTER_SLACK
+    k_max = math.ceil(w * (2 * rc + w)) + 1
+    half_turns = min(0.5, w / (4 * (rc - w))) if rc > w else 0.5
+    k, turns = _lattice_box(alpha, k_max, half_turns, delta0)
+    m = k + n0
+    ok = m >= max(n_min, 0)
+    m, turns = m[ok], turns[ok]
+    rn = np.sqrt(m.astype(np.float64))
+    s = np.sin(np.pi * turns)
+    d2 = (rn - rc) ** 2 + 4.0 * rn * rc * s * s
+    keep = d2 <= w * w
+    # a half-turn box can hold two lattice points of one index
+    m, first = np.unique(m[keep], return_index=True)
+    return m, turns[keep][first], d2[keep][first]
+
+
+def _window_prec(rc: float, radius: float) -> int:
+    """Working precision for the largest index a window at modulus rc reaches."""
+    return default_prec(math.ceil((rc + radius) ** 2) + 1)
+
+
+def _fast_offsets(alpha: AngleSpec, cand: np.ndarray, turns: np.ndarray,
                   n_center: int, radius: float, prec: int):
     """Vectorized recentered offsets with a conservative analytic error bound.
 
-    Angles come from the double-double kernel (error < 2^-69 turns); offsets
-    are assembled in the frame rotated to the center's angle, where every term
-    is O(window) so float64 keeps the absolute error near sqrt(n) * 2^-52.
-    Membership within a thin shell of the boundary is settled by interval
-    arithmetic; everything else is decided by the filter values outright.
+    Angle gaps come from the window enumerator, accurate relative to the
+    window's O(W / sqrt(n)) turns; offsets are assembled in the frame rotated
+    to the center's angle, where every term is O(window) so float64 keeps the
+    absolute error near sqrt(n) * 2^-52.  Membership within a shell of the
+    boundary, at least twice that bound wide, is settled by interval
+    arithmetic; everything else is decided by the float distances outright.
     """
     if len(cand) == 0:
         return cand, np.empty((0, 2)), np.empty(0)
-    theta_c = kernel.theta_dd_at(n_center)
-    with mp.workprec(_ANCHOR_PREC):
-        tc = _frac_mid(alpha, n_center)
+    tc, _ = angle_fraction(alpha, n_center, prec)
+    with mp.workprec(prec):
         ex = float(mp.cos(2 * mp.pi * tc))
         ey = float(mp.sin(2 * mp.pi * tc))
     rc = math.sqrt(float(n_center))
-    anchor = int(cand[0])
-    fh, fl = kernel.frac_array(anchor, cand - anchor)
-    dtheta = _signed_angle_gap(fh, fl, theta_c[0], theta_c[1])
     rn = np.sqrt(cand.astype(np.float64))
-    ang = 2.0 * np.pi * dtheta
+    ang = 2.0 * np.pi * turns
     dxr = rn * np.cos(ang) - rc
     dyr = rn * np.sin(ang)
     dist = np.hypot(dxr, dyr)
-    shell = 1e-7
-    # angle conversion (2^-53 turns) plus trig and product rounding, all O(rn)
+    # trig and product rounding, all O(rn)
     err = max(rn.max(), 64.0) * 2.0**-48
+    shell = max(1e-7, 2.0 * err)
     inside = dist <= radius - shell
     boundary = np.abs(dist - radius) < shell
     if boundary.any():
@@ -336,7 +344,7 @@ def _certify_members(alpha: AngleSpec, candidates, cx_iv, cy_iv, radius: float, 
 
 
 def indices_in_ball(alpha: AngleSpec, center, radius: float, *,
-                    n_min: int = 1, max_candidates: int = 20_000_000) -> IndexWindow:
+                    n_min: int = 1) -> IndexWindow:
     """Exactly the indices n >= n_min with |x_n - center| <= radius."""
     if radius <= 0:
         raise InvalidSpec("radius must be positive")
@@ -345,22 +353,18 @@ def indices_in_ball(alpha: AngleSpec, center, radius: float, *,
     if cx == 0.0 and cy == 0.0:
         # |x_n| = sqrt(n) exactly, so membership is the integer test n <= r^2
         n_hi_exact = math.floor(Fraction(radius) ** 2)
-        if n_hi_exact - n_min > max_candidates:
+        if n_hi_exact - n_min > _MAX_WINDOW_POINTS:
             raise WindowTooLarge(
-                f"ball holds ~{n_hi_exact - n_min} indices (> {max_candidates})"
+                f"ball holds ~{n_hi_exact - n_min} indices (> {_MAX_WINDOW_POINTS})"
             )
         idx = np.arange(n_min, n_hi_exact + 1, dtype=np.int64)
         return IndexWindow(center=(0.0, 0.0), radius=radius, indices=idx, n_min=n_min)
-    n_lo, n_hi = _annulus_bounds(rc, rc, radius, n_min)
-    if n_hi - n_lo > max_candidates:
-        raise WindowTooLarge(
-            f"annulus holds ~{n_hi - n_lo} candidate indices (> {max_candidates})"
-        )
-    kernel = _AngleKernel(alpha)
-    with mp.workprec(_ANCHOR_PREC):
-        theta_c = _dd_split(mp.atan2(cy, cx) / (2 * mp.pi) % 1)
-    cand = _filter_candidates(kernel, rc, theta_c, radius, n_lo, n_hi)
-    prec = default_prec(max(n_hi, 1))
+    # reference index n0 near |c|^2; the center sits delta0 turns past x_{n0}
+    n0 = round(cx * cx + cy * cy)
+    ref = spiral_point(alpha, n0)
+    delta0 = ((math.atan2(cy, cx) - math.atan2(ref.y, ref.x)) / (2 * math.pi) + 0.5) % 1 - 0.5
+    cand, _, _ = _candidates(alpha, n0, rc, delta0, radius, n_min)
+    prec = _window_prec(rc, radius)
     old = iv.prec
     iv.prec = prec
     try:
@@ -372,8 +376,7 @@ def indices_in_ball(alpha: AngleSpec, center, radius: float, *,
 
 
 def recentered_window(alpha: AngleSpec, n_center: int, radius: float, *,
-                      n_min: int = 1, max_candidates: int = 20_000_000,
-                      method: str = "interval"):
+                      n_min: int = 1, method: str = "interval"):
     """Complete window around x_{n_center}, recentered there.
 
     Returns (IndexWindow, offsets, per-point error bounds); offsets are
@@ -385,19 +388,11 @@ def recentered_window(alpha: AngleSpec, n_center: int, radius: float, *,
         raise InvalidSpec("radius must be positive")
     if n_center < n_min:
         raise InvalidSpec("center index below n_min")
-    rc_sq = float(n_center)
-    rc = math.sqrt(rc_sq)
-    n_lo, n_hi = _annulus_bounds(rc, rc, radius + 1e-9, n_min)
-    if n_hi - n_lo > max_candidates:
-        raise WindowTooLarge(
-            f"annulus holds ~{n_hi - n_lo} candidate indices (> {max_candidates})"
-        )
-    kernel = _AngleKernel(alpha)
-    theta_c = kernel.theta_dd_at(n_center)
-    cand = _filter_candidates(kernel, rc, theta_c, radius, n_lo, n_hi)
-    prec = default_prec(n_hi)
+    rc = math.sqrt(float(n_center))
+    cand, turns, _ = _candidates(alpha, n_center, rc, 0.0, radius, n_min)
+    prec = _window_prec(rc, radius)
     if method == "fast":
-        kept, offsets, errs = _fast_offsets(kernel, alpha, cand, n_center, radius, prec)
+        kept, offsets, errs = _fast_offsets(alpha, cand, turns, n_center, radius, prec)
     else:
         cx_iv, cy_iv = _position_iv(alpha, n_center, prec)
         kept, offsets, errs = _certify_members(alpha, cand, cx_iv, cy_iv, radius, prec)
@@ -423,12 +418,12 @@ def offset_between(alpha: AngleSpec, m: int, n: int, prec: int | None = None):
 # ---------------------------------------------------------------------------
 
 def nearest_neighbor(alpha: AngleSpec, n: int, *, n_min: int = 1):
-    """Brute-force nearest neighbour of x_n over the shrinking annulus.
+    """Nearest neighbour of x_n: a radius query on the window enumerator.
 
     Returns (m, distance) minimizing |x_m - x_n| over m != n, m >= n_min;
-    ties break toward smaller m.  The enumeration annulus is seeded by the
-    distance to x_{n-q} for the largest convergent denominator q <= sqrt(n),
-    which is an upper bound containing every possible competitor.
+    ties break toward smaller m.  The query radius is the distance to
+    x_{n-q} for the largest convergent denominator q <= sqrt(n), an upper
+    bound that keeps every possible competitor.
     """
     if n < max(2, n_min + 1):
         raise InvalidSpec("need an index with at least one smaller-index competitor")
@@ -438,30 +433,15 @@ def nearest_neighbor(alpha: AngleSpec, n: int, *, n_min: int = 1):
     p0 = spiral_point(alpha, n)
     p1 = spiral_point(alpha, n - q)
     r0 = math.hypot(p0.x - p1.x, p0.y - p1.y) * (1 + 1e-12) + 1e-9
-    kernel = _AngleKernel(alpha)
-    theta_c = kernel.theta_dd_at(n)
     rc = math.sqrt(float(n))
-    n_lo, n_hi = _annulus_bounds(rc, rc, r0, n_min)
-    m, d = _argmin_distance(kernel, alpha, n, rc, theta_c, n_lo, n_hi, r0)
-    return m, d
-
-
-def _argmin_distance(kernel, alpha, n, rc, theta_c, n_lo, n_hi, r0):
-    chi, clo = theta_c
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    k = ns - n_lo
-    fh, fl = kernel.frac_array(n_lo, k)
-    rn = np.sqrt(ns.astype(np.float64))
-    dtheta = _signed_angle_gap(fh, fl, chi, clo)
-    s = np.sin(np.pi * dtheta)
-    d2 = (rn - rc) ** 2 + 4.0 * rn * rc * s * s
-    d2[ns == n] = np.inf
+    ms, _, d2 = _candidates(alpha, n, rc, 0.0, r0, n_min)
+    d2[ms == n] = np.inf
     best = int(np.argmin(d2))
     best_d = math.sqrt(float(d2[best]))
     # competitors within float noise of the minimum; settle exactly
-    near = ns[d2 <= (best_d + 2e-9) ** 2]
+    near = ms[d2 <= (best_d + 2e-9) ** 2]
     if len(near) > 1:
-        prec = default_prec(int(ns[-1]))
+        prec = _window_prec(rc, r0)
         x0, y0 = _position_iv(alpha, n, prec)
         old = iv.prec
         iv.prec = prec
@@ -476,4 +456,4 @@ def _argmin_distance(kernel, alpha, n, rc, theta_c, n_lo, n_hi, r0):
             iv.prec = old
         dists.sort(key=lambda t: (t[0], t[1]))
         return int(dists[0][1]), float(dists[0][0])
-    return int(ns[best]), best_d
+    return int(ms[best]), best_d

@@ -4,12 +4,21 @@ import math
 
 import numpy as np
 import pytest
+import window_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from spirallimits import GOLDEN, InvalidSpec, QuadraticAngle, RationalAngle, WindowTooLarge
-from spirallimits.number_theory import convergents
+from spirallimits import (
+    GOLDEN,
+    InvalidSpec,
+    PrecisionExhausted,
+    QuadraticAngle,
+    RationalAngle,
+    WindowTooLarge,
+)
+from spirallimits.number_theory import convergents, parse_angle
 from spirallimits.spiral import (
-    _AngleKernel,
     angle_fraction,
     indices_in_ball,
     nearest_neighbor,
@@ -19,6 +28,9 @@ from spirallimits.spiral import (
 )
 
 SQRT2 = QuadraticAngle(0, 1, 1, 2)
+# 40 significant digits of the golden-angle fraction (sqrt(5) - 1) / 2
+DEC40 = "dec:0.6180339887498948482045868343656381177203"
+IRRATIONAL_SPECS = ("quad:1,1,2,5", "quad:0,1,1,2", DEC40)
 
 
 def mp_position(alpha, n, dps=60):
@@ -112,27 +124,6 @@ def test_consecutive_angle_rotation():
         assert abs(ub - ua * rot) < 1e-9
 
 
-# --- double-double kernel ----------------------------------------------------
-
-def test_dd_kernel_matches_mpmath():
-    rng = np.random.default_rng(3)
-    for alpha in (GOLDEN, SQRT2, RationalAngle(2, 7)):
-        kernel = _AngleKernel(alpha)
-        anchor = int(rng.integers(1, 10**9))
-        k = rng.integers(-(10**6), 10**6, 25)
-        fh, fl = kernel.frac_array(anchor, k)
-        with mp.workdps(50):
-            if isinstance(alpha, RationalAngle):
-                a = mp.mpf(alpha.num) / alpha.den
-            else:
-                a = (alpha.a + alpha.b * mp.sqrt(alpha.d)) / alpha.c
-            for i, kk in enumerate(k):
-                expect = mp.frac(a * (anchor + int(kk)))
-                got = mp.mpf(fh[i]) + mp.mpf(fl[i])
-                gap = abs(got - expect)
-                assert float(min(gap, abs(1 - gap))) < 2.0**-68
-
-
 # --- windows -----------------------------------------------------------------
 
 def test_ball_at_origin_is_index_range():
@@ -192,11 +183,83 @@ def test_ball_at_float_center_matches_recentered():
     assert np.array_equal(w1.indices, win.indices)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    spec=st.sampled_from(("rat:13/21",) + IRRATIONAL_SPECS),
+    n=st.integers(2, 10**9),
+    shift=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    radius=st.floats(0.5, 6.0),
+)
+def test_ball_off_center_matches_window_offsets(spec, n, shift, radius):
+    """A ball anywhere near x_n holds the window points within its radius."""
+    alpha = parse_angle(spec)
+    vx, vy = shift
+    win, offsets, _ = recentered_window(
+        alpha, n, radius + math.hypot(vx, vy) + 1e-6, method="fast"
+    )
+    d = np.hypot(offsets[:, 0] - vx, offsets[:, 1] - vy)
+    knife = set(win.indices[np.abs(d - radius) <= 1e-7].tolist())
+    p = spiral_point(alpha, n)
+    try:
+        ball = indices_in_ball(alpha, (p.x + vx, p.y + vy), radius)
+    except PrecisionExhausted:
+        assert knife
+        return
+    want = set(win.indices[d <= radius].tolist())
+    assert set(ball.indices.tolist()) - knife == want - knife
+
+
 def test_fast_method_matches_interval():
     w1, o1, e1 = recentered_window(SQRT2, 200000, 9.0)
     w2, o2, e2 = recentered_window(SQRT2, 200000, 9.0, method="fast")
     assert np.array_equal(w1.indices, w2.indices)
     assert np.hypot(*(o1 - o2).T).max() <= e2[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=st.sampled_from(("rat:1/2", "rat:13/21") + IRRATIONAL_SPECS),
+    n=st.one_of(st.integers(1, 1024), st.integers(1, 10**9)),
+    radius=st.floats(1.0, 16.0),
+)
+@example(spec="rat:1/2", n=10**9, radius=16.0)
+@example(spec="rat:13/21", n=37, radius=9.5)
+@example(spec="quad:1,1,2,5", n=1, radius=16.0)
+@example(spec=DEC40, n=999_999_937, radius=16.0)
+def test_window_matches_annulus_oracle(spec, n, radius):
+    """Both methods give the brute-force annulus scan's index set."""
+    expected, undecided = window_oracle.window_indices(
+        window_oracle.alpha_fraction(spec), n, radius
+    )
+    want = set(expected) - set(undecided)
+    # per-point interval certification of a dense rational-ray window takes minutes
+    methods = ("fast", "interval") if len(expected) <= 400 else ("fast",)
+    for method in methods:
+        try:
+            win, _, _ = recentered_window(parse_angle(spec), n, radius, method=method)
+        except PrecisionExhausted:
+            assert undecided, (method, "raised without a knife-edge index")
+            continue
+        assert set(win.indices.tolist()) - set(undecided) == want, method
+
+
+@pytest.mark.parametrize("spec", IRRATIONAL_SPECS)
+@pytest.mark.parametrize("n", [10**12 + 12345, 10**15 + 777])
+def test_deep_windows_certify(spec, n):
+    """Windows far beyond an annulus scan's reach certify in both methods."""
+    alpha = parse_angle(spec)
+    for radius in (4.0, 8.0, 16.0):
+        win, offsets, errs = recentered_window(alpha, n, radius)
+        assert n in win.indices.tolist()
+        assert 0.8 * radius**2 <= len(win) <= 1.25 * radius**2 + 2
+        assert np.all(np.hypot(offsets[:, 0], offsets[:, 1]) <= radius + errs)
+        assert errs.max() <= 2.0**-40
+        i = len(win) // 3
+        x, y, err = offset_between(alpha, int(win.indices[i]), n)
+        assert math.hypot(x - offsets[i, 0], y - offsets[i, 1]) <= errs[i] + err
+        fast, f_offsets, f_errs = recentered_window(alpha, n, radius, method="fast")
+        assert np.array_equal(fast.indices, win.indices)
+        assert np.hypot(*(f_offsets - offsets).T).max() <= f_errs[0] + errs.max()
 
 
 # --- nearest neighbours -------------------------------------------------------
