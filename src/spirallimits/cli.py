@@ -174,9 +174,10 @@ def _cmd_spiral(args, out: Path):
 def _cmd_patch(args, out: Path):
     alpha = parse_angle(args.alpha)
     win, offsets, errs = recentered_window(
-        alpha, args.center_index, args.window, n_min=args.n_min,
-        method="fast" if args.fast else "interval",
+        alpha, args.center_index, args.window, n_min=args.n_min
     )
+    # rendered first: an SVG over budget raises before any artifact is written
+    svg = render_svg(args.window, point_layers=[("patch", offsets)])
     _patch_csv(out / "patch.csv", win, offsets, errs)
     _write_json(
         out / "patch.json",
@@ -187,7 +188,6 @@ def _cmd_patch(args, out: Path):
             "count": len(win),
         },
     )
-    svg = render_svg(args.window, point_layers=[("patch", offsets)])
     (out / "patch.svg").write_text(svg)
     return {"outputs": ["patch.csv", "patch.json", "patch.svg"], "count": len(win)}
 
@@ -266,10 +266,11 @@ def _cmd_empirical(args, out: Path):
         use_finite_beta=args.finite_beta,
     )
     outputs = ["report.json"]
+    patches, svgs = [], []  # written after every SVG rendered within budget
     for rec in report.records:
         win, offsets, errs = recentered_window(alpha, rec.n, args.window)
         name = f"patch_j{rec.j}.csv"
-        _patch_csv(out / name, win, offsets, errs)
+        patches.append((name, win, offsets, errs))
         outputs.append(name)
         if isinstance(alpha, QuadraticAngle):
             lim = class_triplet_limit(alpha, rec.j)
@@ -287,8 +288,12 @@ def _cmd_empirical(args, out: Path):
             cross_layers=[("proof_form", ball_p.points), ("theorem_form", ball_t.points)],
         )
         name = f"overlay_j{rec.j}.svg"
-        (out / name).write_text(svg)
+        svgs.append((name, svg))
         outputs.append(name)
+    for name, win, offsets, errs in patches:
+        _patch_csv(out / name, win, offsets, errs)
+    for name, svg in svgs:
+        (out / name).write_text(svg)
     _write_json(out / "report.json", report)
     return {"outputs": outputs, "verdict": report.verdict}
 
@@ -307,6 +312,7 @@ def _cmd_forest(args, out: Path):
     alpha = parse_angle(args.alpha)
     witnesses = []
     outputs = ["witnesses.json"]
+    svgs = []  # written after every SVG rendered within budget
     for length in _parse_floats(args.lengths):
         w = spiral_empty_rectangle_search(
             alpha, args.window_radius, args.eps, length, n_min=args.n_min
@@ -335,8 +341,10 @@ def _cmd_forest(args, out: Path):
             rectangles=[(f"V={length:g}", w.local_probe.corners())],
         )
         name = f"witness_V{length:g}.svg"
-        (out / name).write_text(svg)
+        svgs.append((name, svg))
         outputs.append(name)
+    for name, svg in svgs:
+        (out / name).write_text(svg)
     _write_json(out / "witnesses.json", {"eps": args.eps, "witnesses": witnesses})
     return {"outputs": outputs, "found": sum(1 for w in witnesses if w.get("found"))}
 
@@ -430,7 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center-index", type=int, required=True)
     p.add_argument("--window", type=float, required=True)
     p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--fast", action="store_true")
 
     p = add("delta", help="Chabauty distance between two patch CSVs")
     p.add_argument("--a", required=True)

@@ -283,9 +283,7 @@ def spiral_empty_rectangle_search(alpha: AngleSpec, window_radius: float,
     n_center = int(rim * rim)
     for k in range(attempts):
         n_c = max(n_min, n_center + k)
-        win, offsets, errs = recentered_window(
-            alpha, n_c, local_r, n_min=n_min, method="fast"
-        )
+        win, offsets, errs = recentered_window(alpha, n_c, local_r, n_min=n_min)
         patch = Patch(
             offsets,
             local_r,

@@ -5,9 +5,16 @@ from the convergent data of alpha: writing m = n + k and delta = k*alpha - p,
 a point x_m in B_W(x_n) forces |k| <= 2W sqrt(n) + W^2 and
 |delta| <= W / (4 (sqrt(n) - W)).  These are the points of the unimodular
 lattice {(k, k*alpha - p)} in a box of area about 2W^2, listed from a
-Gauss-reduced convergent basis in time independent of n.  A float filter
-trims them and interval arithmetic certifies every survivor, so windows are
-complete; nearest neighbours are a radius query on the same enumerator.
+Gauss-reduced convergent basis in time independent of n.
+
+In the frame rotated to the center's angle the offset x_m - x_n is
+(k / (sqrt(m) + sqrt(n)) - 2 sqrt(m) sin^2(pi delta), sqrt(m) sin(2 pi delta)),
+where every term is O(W), so float64 evaluates it to O(W 2^-52) at any n.
+A window carries one derived error bound for all its offsets; points decided
+by more than that bound are certified in float64 and only the points within
+it of the boundary go to interval arithmetic, which raises
+PrecisionExhausted rather than guessing.  Windows are therefore complete,
+and nearest neighbours are a radius query on the same enumerator.
 """
 
 from __future__ import annotations
@@ -33,8 +40,10 @@ from .number_theory import (
 )
 
 PREC_PAD = 96  # default evaluation bits beyond bits(n)
-_FILTER_SLACK = 1e-6  # float-filter inclusion margin, certified away later
+_FILTER_SLACK = 1e-6  # box margin past the radius; ball candidates are certified later
 _MAX_WINDOW_POINTS = 4_000_000  # output budget: enumerated lattice points or ball indices
+_U = 2.0**-53  # unit roundoff of float64
+_LIBM_ULPS = 8  # allowed error of numpy sin and cos, checked by the differential test
 
 
 # ---------------------------------------------------------------------------
@@ -168,18 +177,22 @@ def _convergent_pair(alpha: AngleSpec, k_max: int):
 def _lattice_box(alpha: AngleSpec, k_max: int, half_turns: float, delta0: float):
     """Lattice points (k, delta = k*alpha - p), |k| <= k_max, |delta - delta0| <= half_turns.
 
-    Returns k (exact int64) and delta - delta0 (float64).  The convergent
-    basis is scaled so the box is a square and Gauss-reduced there; a Cramer
-    bound limits the rows along the shorter vector and each row is cut to the
-    box, so the work is the output plus O(W) rows whatever k_max is.  k and p
-    come from the integer transform; delta from the two basis residues, each
-    evaluated once at high precision, with coefficients no larger than the
-    box needs.  A decimal literal walks the lattice of its midpoint, with the
-    box widened by its half-ulp times k_max.
+    Returns k (exact int64), delta - delta0 (float64) and a bound on the
+    error of those floats.  The convergent basis is scaled so the box is a
+    square and Gauss-reduced there; a Cramer bound limits the rows along the
+    shorter vector and each row is cut to the box, so the work is the output
+    plus O(W) rows whatever k_max is.  k and p come from the integer
+    transform; delta from the two basis residues, each evaluated once at high
+    precision, with coefficients no larger than the box needs.  A decimal
+    literal walks the lattice of its midpoint, with the box widened by its
+    half-ulp times k_max; the error bound carries the same width.
     """
+    literal = 0.0
     if isinstance(alpha, DecimalAngle):
         v = alpha.as_fraction()
-        half_turns += k_max * float(alpha.ulp()) / 2
+        # rounded up past the float conversion of the exact half-ulp product
+        literal = float(k_max * alpha.ulp() / 2) * (1 + 4 * _U)
+        half_turns += literal
         alpha = RationalAngle(v.numerator, v.denominator)
     (pa, qa), (pb, qb) = _convergent_pair(alpha, k_max)
     # q*alpha - p cancels about bits(q) bits; evaluate alpha well past that
@@ -216,40 +229,76 @@ def _lattice_box(alpha: AngleSpec, k_max: int, half_turns: float, delta0: float)
     total = int(counts.sum())
     if total > _MAX_WINDOW_POINTS:
         raise WindowTooLarge(f"window box holds ~{total} lattice points (> {_MAX_WINDOW_POINTS})")
+    # r1, r2 and g0 are rounded once from values exact far past float64
+    # (<= 2u relative each, u = 2^-53); the products i*r1, j*r2 and the two
+    # sums below add 3u relative to the magnitudes summed; 8u covers both.
+    i_max = np.maximum(np.abs(i_lo), np.abs(i_lo + counts - 1))[ok].max(initial=0)
+    j_max = np.abs(j[ok]).max(initial=0)
+    gap_err = 8 * _U * (abs(g0) + float(i_max) * abs(r1) + float(j_max) * abs(r2)) + literal
     first = np.cumsum(counts) - counts
     i = np.arange(total, dtype=np.int64) - np.repeat(first - i_lo, counts)
     j = np.repeat(j, counts)
     k = k0 + i * k1 + j * k2
     gap = g0 + i * r1 + j * r2
     keep = (np.abs(k) <= k_max) & (np.abs(gap) <= half_turns)
-    return k[keep], gap[keep]
+    return k[keep], gap[keep], gap_err
 
 
-def _candidates(alpha: AngleSpec, n0: int, rc: float, delta0: float,
-                radius: float, n_min: int):
-    """Indices m >= n_min passing the float distance filter around a center.
+def _candidates(alpha: AngleSpec, n0: int, radius: float, n_min: int, *,
+                delta0: float = 0.0, excess: float = 0.0):
+    """Box points m >= n_min around a center, with offsets and their error.
 
-    The center has modulus rc, with rc^2 within 1/2 of n0, and angle
+    The center has squared modulus n0 + excess (|excess| <= 1/2) and angle
     frac(n0*alpha) + delta0 turns.  Since |x_m| = sqrt(m) and
     sin(pi t) >= 2t on [0, 1/2], membership forces |m - n0| <= w(2 rc + w) + 1
-    and an angle gap of at most w / (4 (rc - w)) turns.  Returns m sorted,
-    the angle of x_m minus the center's in turns, and the float squared
-    distance.
+    and an angle gap of at most w / (4 (rc - w)) turns.  Returns m (unsorted;
+    a half-turn box can list an index twice), the offsets x_m - center in the
+    frame rotated to the center's angle, their length, and a bound on the
+    Euclidean error of the offsets and of that length where it is within one
+    of the radius.  The bound covers every error source when delta0 and
+    excess are zero (a spiral point as center); otherwise the ball's interval
+    check settles membership.
     """
+    rc = math.sqrt(n0 + excess)
     w = radius + _FILTER_SLACK
     k_max = math.ceil(w * (2 * rc + w)) + 1
     half_turns = min(0.5, w / (4 * (rc - w))) if rc > w else 0.5
-    k, turns = _lattice_box(alpha, k_max, half_turns, delta0)
+    k, turns, gap_err = _lattice_box(alpha, k_max, half_turns, delta0)
     m = k + n0
     ok = m >= max(n_min, 0)
-    m, turns = m[ok], turns[ok]
+    if not ok.all():
+        k, m, turns = k[ok], m[ok], turns[ok]
     rn = np.sqrt(m.astype(np.float64))
     s = np.sin(np.pi * turns)
-    d2 = (rn - rc) ** 2 + 4.0 * rn * rc * s * s
-    keep = d2 <= w * w
-    # a half-turn box can hold two lattice points of one index
-    m, first = np.unique(m[keep], return_index=True)
-    return m, turns[keep][first], d2[keep][first]
+    # sqrt(m) - rc = (k - excess) / (sqrt(m) + rc) without cancellation
+    denom = rn + rc
+    if rc == 0.0:
+        denom[m == 0] = 1.0  # x_0 is the center: 0 / 1
+    dx = (k - excess) / denom - 2.0 * rn * s * s
+    dy = rn * np.sin(2.0 * np.pi * turns)
+    dist = np.sqrt(dx * dx + dy * dy)
+    # Magnitudes over the box: sqrt(m) <= r_hi, |turns| <= t_hi, |sqrt(m) - rc| <= a_hi.
+    r_hi = math.sqrt(n0 + k_max + 1)
+    t_hi = half_turns + gap_err
+    a_hi = max(r_hi - rc, rc - math.sqrt(max(n0 - k_max - 1, 0))) + 1.0
+    sin2_hi = 2 * r_hi * math.sin(math.pi * min(0.5, t_hi)) ** 2  # bounds 2 sqrt(m) s^2
+    sin_hi = r_hi * min(1.0, 2 * math.pi * t_hi)  # bounds |dy|
+    # Rounding, with u = 2^-53 and L ulps for sin: the cast and sqrt of m
+    # (2u), k exact below 2^53; dx's first term <= 5u relative and the
+    # subtraction u; s is sin of pi*turns rounded twice, <= (pi + 2L)u
+    # relative since |sin(pi t)| >= 2|t|, so 2 sqrt(m) s^2 is within
+    # (2 pi + 4L + 4)u relative; dy's argument is off by <= 4 pi u |turns|,
+    # sin adds L ulps and sqrt and product 3u; the length 2u at the radius.  An
+    # error e in turns moves x_m by at most 2 pi sqrt(m) e.
+    rounding = _U * (
+        6 * a_hi
+        + (2 * math.pi + 4 * _LIBM_ULPS + 5) * sin2_hi
+        + 4 * math.pi * r_hi * t_hi
+        + (2 * _LIBM_ULPS + 3) * sin_hi
+        + 2 * (radius + 1.0)
+    )
+    err = 2 * math.pi * r_hi * gap_err + rounding
+    return m, dx, dy, dist, err
 
 
 def _window_prec(rc: float, radius: float) -> int:
@@ -257,56 +306,14 @@ def _window_prec(rc: float, radius: float) -> int:
     return default_prec(math.ceil((rc + radius) ** 2) + 1)
 
 
-def _fast_offsets(alpha: AngleSpec, cand: np.ndarray, turns: np.ndarray,
-                  n_center: int, radius: float, prec: int):
-    """Vectorized recentered offsets with a conservative analytic error bound.
-
-    Angle gaps come from the window enumerator, accurate relative to the
-    window's O(W / sqrt(n)) turns; offsets are assembled in the frame rotated
-    to the center's angle, where every term is O(window) so float64 keeps the
-    absolute error near sqrt(n) * 2^-52.  Membership within a shell of the
-    boundary, at least twice that bound wide, is settled by interval
-    arithmetic; everything else is decided by the float distances outright.
-    """
-    if len(cand) == 0:
-        return cand, np.empty((0, 2)), np.empty(0)
-    tc, _ = angle_fraction(alpha, n_center, prec)
-    with mp.workprec(prec):
-        ex = float(mp.cos(2 * mp.pi * tc))
-        ey = float(mp.sin(2 * mp.pi * tc))
-    rc = math.sqrt(float(n_center))
-    rn = np.sqrt(cand.astype(np.float64))
-    ang = 2.0 * np.pi * turns
-    dxr = rn * np.cos(ang) - rc
-    dyr = rn * np.sin(ang)
-    dist = np.hypot(dxr, dyr)
-    # trig and product rounding, all O(rn)
-    err = max(rn.max(), 64.0) * 2.0**-48
-    shell = max(1e-7, 2.0 * err)
-    inside = dist <= radius - shell
-    boundary = np.abs(dist - radius) < shell
-    if boundary.any():
-        cx_iv, cy_iv = _position_iv(alpha, n_center, prec)
-        extra, _, _ = _certify_members(
-            alpha, cand[boundary], cx_iv, cy_iv, radius, prec
-        )
-        inside |= np.isin(cand, extra)
-    kept = cand[inside]
-    dx = dxr[inside] * ex - dyr[inside] * ey
-    dy = dxr[inside] * ey + dyr[inside] * ex
-    # the recentered center itself is exactly the origin
-    at_center = kept == n_center
-    dx[at_center] = 0.0
-    dy[at_center] = 0.0
-    return kept, np.column_stack([dx, dy]), np.full(len(kept), err)
-
-
 def _iv_abs_square(v):
-    """Interval of v^2; plain interval multiplication can dip below zero."""
+    """Interval of v^2; plain interval multiplication can dip below zero.
+
+    The endpoints stay intervals: converting them to mp.mpf would round them
+    to nearest at mp's precision and could drop the true value.
+    """
     s = v * v
-    lo, hi = mp.mpf(s.a), mp.mpf(s.b)
-    zero = mp.mpf(0)
-    return iv.mpf([max(lo, zero), max(hi, zero)])
+    return s if s.a >= 0 else iv.mpf([0, s.b])
 
 
 def _certify_members(alpha: AngleSpec, candidates, cx_iv, cy_iv, radius: float, prec: int):
@@ -363,7 +370,10 @@ def indices_in_ball(alpha: AngleSpec, center, radius: float, *,
     n0 = round(cx * cx + cy * cy)
     ref = spiral_point(alpha, n0)
     delta0 = ((math.atan2(cy, cx) - math.atan2(ref.y, ref.x)) / (2 * math.pi) + 0.5) % 1 - 0.5
-    cand, _, _ = _candidates(alpha, n0, rc, delta0, radius, n_min)
+    m, _, _, dist, _ = _candidates(
+        alpha, n0, radius, n_min, delta0=delta0, excess=cx * cx + cy * cy - n0
+    )
+    cand = np.unique(m[dist <= radius + _FILTER_SLACK])
     prec = _window_prec(rc, radius)
     old = iv.prec
     iv.prec = prec
@@ -376,29 +386,51 @@ def indices_in_ball(alpha: AngleSpec, center, radius: float, *,
 
 
 def recentered_window(alpha: AngleSpec, n_center: int, radius: float, *,
-                      n_min: int = 1, method: str = "interval"):
+                      n_min: int = 1):
     """Complete window around x_{n_center}, recentered there.
 
-    Returns (IndexWindow, offsets, per-point error bounds); offsets are
-    x_m - x_{n_center} as float64 rows, certified to the returned bounds.
-    ``method`` picks per-point interval certification ("interval") or the
-    vectorized float path with an analytic bound ("fast", for dense windows).
+    Returns (IndexWindow, offsets, errs): offsets are x_m - x_{n_center} as
+    float64 rows, sorted by m, and errs bounds the Euclidean error of each
+    row; it is one value for the whole window.  Offsets are evaluated in
+    float64 in the frame rotated to the center (see ``_candidates``) and
+    turned by the center's angle, taken from an enclosure of
+    frac(n_center * alpha) whose half-width h turns each offset by at most
+    2 pi h |offset|.  Points farther than the bound from the radius are
+    decided by their float distance; the rest are settled by interval
+    arithmetic, which raises PrecisionExhausted when it cannot decide.  The
+    mpmath work is a fixed number of evaluations per window plus one per
+    such boundary point.
     """
     if radius <= 0:
         raise InvalidSpec("radius must be positive")
     if n_center < n_min:
         raise InvalidSpec("center index below n_min")
-    rc = math.sqrt(float(n_center))
-    cand, turns, _ = _candidates(alpha, n_center, rc, 0.0, radius, n_min)
-    prec = _window_prec(rc, radius)
-    if method == "fast":
-        kept, offsets, errs = _fast_offsets(alpha, cand, turns, n_center, radius, prec)
-    else:
+    prec = _window_prec(math.sqrt(float(n_center)), radius)
+    m, dx, dy, dist, err = _candidates(alpha, n_center, radius, n_min)
+    theta = _iv_of(_frac_exact(alpha, n_center), prec)
+    with mp.workprec(prec):
+        lo, hi = mp.mpf(theta.a), mp.mpf(theta.b)
+        ex, ey = float(mp.cos(mp.pi * (lo + hi))), float(mp.sin(mp.pi * (lo + hi)))
+        half_width = float(hi - lo) / 2
+    # the turn by 2 pi h, plus rounding of cos, sin and the rotation (8u), for
+    # kept offsets: no longer than the radius plus the error before turning
+    err += (radius + err) * (2 * math.pi * half_width + 8 * _U)
+    keep = np.flatnonzero(dist <= radius + err)
+    m, first = np.unique(m[keep], return_index=True)
+    keep = keep[first]
+    dx, dy = dx[keep], dy[keep]
+    shell = np.flatnonzero(dist[keep] > radius - err)
+    if len(shell):
         cx_iv, cy_iv = _position_iv(alpha, n_center, prec)
-        kept, offsets, errs = _certify_members(alpha, cand, cx_iv, cy_iv, radius, prec)
+        members, _, _ = _certify_members(alpha, m[shell], cx_iv, cy_iv, radius, prec)
+        out = shell[~np.isin(m[shell], members)]
+        m, dx, dy = np.delete(m, out), np.delete(dx, out), np.delete(dy, out)
+    offsets = np.column_stack([dx * ex - dy * ey, dx * ey + dy * ex])
+    # the recentered center itself is exactly the origin, not -0.0
+    offsets[m == n_center] = 0.0
     center = spiral_point(alpha, n_center, prec)
-    win = IndexWindow(center=(center.x, center.y), radius=radius, indices=kept, n_min=n_min)
-    return win, offsets, errs
+    win = IndexWindow(center=(center.x, center.y), radius=radius, indices=m, n_min=n_min)
+    return win, offsets, np.full(len(m), err)
 
 
 def offset_between(alpha: AngleSpec, m: int, n: int, prec: int | None = None):
@@ -433,15 +465,14 @@ def nearest_neighbor(alpha: AngleSpec, n: int, *, n_min: int = 1):
     p0 = spiral_point(alpha, n)
     p1 = spiral_point(alpha, n - q)
     r0 = math.hypot(p0.x - p1.x, p0.y - p1.y) * (1 + 1e-12) + 1e-9
-    rc = math.sqrt(float(n))
-    ms, _, d2 = _candidates(alpha, n, rc, 0.0, r0, n_min)
-    d2[ms == n] = np.inf
-    best = int(np.argmin(d2))
-    best_d = math.sqrt(float(d2[best]))
+    ms, _, _, dist, _ = _candidates(alpha, n, r0, n_min)
+    dist[ms == n] = np.inf
+    best = int(np.argmin(dist))
+    best_d = float(dist[best])
     # competitors within float noise of the minimum; settle exactly
-    near = ms[d2 <= (best_d + 2e-9) ** 2]
+    near = ms[dist <= best_d + 2e-9]
     if len(near) > 1:
-        prec = _window_prec(rc, r0)
+        prec = _window_prec(math.sqrt(float(n)), r0)
         x0, y0 = _position_iv(alpha, n, prec)
         old = iv.prec
         iv.prec = prec

@@ -107,6 +107,18 @@ def test_exit_codes(tmp_path):
                 "--out", tmp_path / "ok"]) == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["patch", "--alpha", "rat:1/2", "--center-index", 4000000, "--window", 30],
+    ["forest", "--alpha", "rat:1/2", "--window-radius", 5000, "--eps", 0.2,
+     "--lengths", "10,20,40"],
+])
+def test_svg_over_budget_writes_nothing(tmp_path, args):
+    """A window too dense for an SVG fails before any artifact is written."""
+    out = tmp_path / "dense"
+    assert run(args + ["--out", out]) == 2
+    assert list(out.iterdir()) == []
+
+
 # --- determinism -----------------------------------------------------------------
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -17,6 +17,7 @@ from spirallimits import (
     RationalAngle,
     WindowTooLarge,
 )
+from spirallimits import spiral
 from spirallimits.number_theory import convergents, parse_angle
 from spirallimits.spiral import (
     angle_fraction,
@@ -30,6 +31,8 @@ from spirallimits.spiral import (
 SQRT2 = QuadraticAngle(0, 1, 1, 2)
 # 40 significant digits of the golden-angle fraction (sqrt(5) - 1) / 2
 DEC40 = "dec:0.6180339887498948482045868343656381177203"
+# the same fraction to 16 digits: too coarse to place x_n itself far out
+COARSE = "dec:0.6180339887498948@64"
 IRRATIONAL_SPECS = ("quad:1,1,2,5", "quad:0,1,1,2", DEC40)
 
 
@@ -194,9 +197,7 @@ def test_ball_off_center_matches_window_offsets(spec, n, shift, radius):
     """A ball anywhere near x_n holds the window points within its radius."""
     alpha = parse_angle(spec)
     vx, vy = shift
-    win, offsets, _ = recentered_window(
-        alpha, n, radius + math.hypot(vx, vy) + 1e-6, method="fast"
-    )
+    win, offsets, _ = recentered_window(alpha, n, radius + math.hypot(vx, vy) + 1e-6)
     d = np.hypot(offsets[:, 0] - vx, offsets[:, 1] - vy)
     knife = set(win.indices[np.abs(d - radius) <= 1e-7].tolist())
     p = spiral_point(alpha, n)
@@ -209,44 +210,108 @@ def test_ball_off_center_matches_window_offsets(spec, n, shift, radius):
     assert set(ball.indices.tolist()) - knife == want - knife
 
 
-def test_fast_method_matches_interval():
-    w1, o1, e1 = recentered_window(SQRT2, 200000, 9.0)
-    w2, o2, e2 = recentered_window(SQRT2, 200000, 9.0, method="fast")
-    assert np.array_equal(w1.indices, w2.indices)
-    assert np.hypot(*(o1 - o2).T).max() <= e2[0]
+def _window_case(spec):
+    # dense rational-ray windows outgrow the point budget past n = 1e9
+    top = 10**9 if spec.startswith("rat:") else 10**15
+    n = st.one_of(st.integers(0, 1024), st.integers(0, 10**9), st.integers(10**9, top))
+    return st.tuples(st.just(spec), n, st.floats(1.0, 16.0))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    spec=st.sampled_from(("rat:1/2", "rat:13/21") + IRRATIONAL_SPECS),
-    n=st.one_of(st.integers(1, 1024), st.integers(1, 10**9)),
-    radius=st.floats(1.0, 16.0),
-)
-@example(spec="rat:1/2", n=10**9, radius=16.0)
-@example(spec="rat:13/21", n=37, radius=9.5)
-@example(spec="quad:1,1,2,5", n=1, radius=16.0)
-@example(spec=DEC40, n=999_999_937, radius=16.0)
-def test_window_matches_annulus_oracle(spec, n, radius):
-    """Both methods give the brute-force annulus scan's index set."""
-    expected, undecided = window_oracle.window_indices(
-        window_oracle.alpha_fraction(spec), n, radius
-    )
-    want = set(expected) - set(undecided)
-    # per-point interval certification of a dense rational-ray window takes minutes
-    methods = ("fast", "interval") if len(expected) <= 400 else ("fast",)
-    for method in methods:
-        try:
-            win, _, _ = recentered_window(parse_angle(spec), n, radius, method=method)
-        except PrecisionExhausted:
-            assert undecided, (method, "raised without a knife-edge index")
-            continue
-        assert set(win.indices.tolist()) - set(undecided) == want, method
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(("rat:1/2", "rat:13/21") + IRRATIONAL_SPECS + (COARSE,))
+       .flatmap(_window_case))
+@example(case=("rat:1/2", 10**9, 16.0))
+@example(case=("rat:13/21", 37, 9.5))
+@example(case=("quad:1,1,2,5", 1, 16.0))
+@example(case=("quad:0,1,1,2", 0, 5.5))
+@example(case=(DEC40, 999_999_937, 16.0))
+@example(case=(DEC40, 10**15 + 777, 16.0))
+@example(case=(COARSE, 123_456_789, 3.0))
+def test_window_matches_annulus_oracle(case):
+    """Windows against two slow oracles.
+
+    Offsets agree with per-point interval arithmetic (``offset_between`` at
+    320 bits) within the window's bound plus the oracle's, at any n; up to
+    n = 1e9 the index set is the brute-force annulus scan's.  A raise needs a
+    knife-edge index, or the coarse literal.
+    """
+    spec, n, radius = case
+    alpha = parse_angle(spec)
+    n_min = 0 if n == 0 else 1
+    expected = undecided = None
+    if n <= 10**9:
+        expected, undecided = window_oracle.window_indices(
+            window_oracle.alpha_fraction(spec), n, radius, n_min=n_min
+        )
+    try:
+        win, offsets, errs = recentered_window(alpha, n, radius, n_min=n_min)
+    except PrecisionExhausted:
+        assert spec == COARSE or undecided, "raised without a knife-edge index"
+        return
+    if expected is not None:
+        want = set(expected) - set(undecided)
+        assert set(win.indices.tolist()) - set(undecided) == want
+    c = win.indices.tolist().index(n)
+    assert offsets[c, 0] == 0.0 and offsets[c, 1] == 0.0
+    norms = np.hypot(offsets[:, 0], offsets[:, 1])
+    assert np.all(norms <= radius + errs)
+    # evenly spaced rows plus the ones nearest the boundary
+    rows = set(np.linspace(0, len(win) - 1, 20).astype(int).tolist())
+    rows |= set(np.argsort(norms)[-8:].tolist())
+    for i in sorted(rows):
+        x, y, e = offset_between(alpha, int(win.indices[i]), n, prec=320)
+        assert abs(offsets[i, 0] - x) <= errs[i] + e, (i, offsets[i, 0] - x, errs[i], e)
+        assert abs(offsets[i, 1] - y) <= errs[i] + e, (i, offsets[i, 1] - y, errs[i], e)
+
+
+def test_coarse_literal_certifies_deep_window():
+    """Offsets see the literal's width through k only, so a 16-digit literal
+    still certifies at n = 1e12, where independent positions of x_m and x_n
+    are each uncertain by hundreds of units.  The literal encloses the golden
+    fraction, so the window is the golden angle's."""
+    n = 10**12 + 12345
+    win, offsets, errs = recentered_window(parse_angle(COARSE), n, 4.0)
+    gold, g_offsets, g_errs = recentered_window(GOLDEN, n, 4.0)
+    assert np.array_equal(win.indices, gold.indices)
+    assert errs.max() < 0.01
+    assert np.hypot(*(offsets - g_offsets).T).max() <= errs.max() + g_errs.max()
+
+
+def test_window_mpmath_work_is_fixed(monkeypatch):
+    """Apart from boundary points, mpmath runs a fixed number of times per
+    window whatever its point count; a knife-edge point alone goes to the
+    interval check."""
+    calls = {"_position_iv": 0, "_certify_members": []}
+    position_iv, certify = spiral._position_iv, spiral._certify_members
+
+    def counted_position(*args):
+        calls["_position_iv"] += 1
+        return position_iv(*args)
+
+    def counted_certify(alpha, candidates, *args):
+        calls["_certify_members"].extend(candidates.tolist())
+        return certify(alpha, candidates, *args)
+
+    monkeypatch.setattr(spiral, "_position_iv", counted_position)
+    monkeypatch.setattr(spiral, "_certify_members", counted_certify)
+    sizes = []
+    for n, radius in ((10**6, 2.0), (10**6, 16.0), (10**15 + 777, 16.0)):
+        calls["_position_iv"] = 0
+        win, _, _ = recentered_window(SQRT2, n, radius)
+        sizes.append(len(win))
+        assert calls["_position_iv"] == 1
+    assert sizes[0] < 10 < 200 < min(sizes[1:])
+    assert calls["_certify_members"] == []
+    # |x_16 - x_0| = 4 exactly: only index 16 is sent to intervals, which cannot decide it
+    with pytest.raises(PrecisionExhausted):
+        recentered_window(SQRT2, 0, 4.0, n_min=0)
+    assert calls["_certify_members"] == [16]
 
 
 @pytest.mark.parametrize("spec", IRRATIONAL_SPECS)
 @pytest.mark.parametrize("n", [10**12 + 12345, 10**15 + 777])
 def test_deep_windows_certify(spec, n):
-    """Windows far beyond an annulus scan's reach certify in both methods."""
+    """Windows far beyond an annulus scan's reach certify."""
     alpha = parse_angle(spec)
     for radius in (4.0, 8.0, 16.0):
         win, offsets, errs = recentered_window(alpha, n, radius)
@@ -257,9 +322,6 @@ def test_deep_windows_certify(spec, n):
         i = len(win) // 3
         x, y, err = offset_between(alpha, int(win.indices[i]), n)
         assert math.hypot(x - offsets[i, 0], y - offsets[i, 1]) <= errs[i] + err
-        fast, f_offsets, f_errs = recentered_window(alpha, n, radius, method="fast")
-        assert np.array_equal(fast.indices, win.indices)
-        assert np.hypot(*(f_offsets - offsets).T).max() <= f_errs[0] + errs.max()
 
 
 # --- nearest neighbours -------------------------------------------------------

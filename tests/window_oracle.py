@@ -45,14 +45,14 @@ def _settled_excess(alpha: Fraction, m: int, n: int, radius: float) -> float:
         return 0.0 if abs(excess) < mp.mpf(10) ** -40 else float(excess)
 
 
-def window_indices(alpha: Fraction, n: int, radius: float):
-    """(indices, undecided) of every m >= 1 with |x_m - x_n| <= radius.
+def window_indices(alpha: Fraction, n: int, radius: float, n_min: int = 1):
+    """(indices, undecided) of every m >= n_min with |x_m - x_n| <= radius.
 
     ``undecided`` lists indices within 1e-40 of the boundary even at
     SETTLE_BITS bits, where no certified answer can be expected.
     """
     rc = math.sqrt(n)
-    m_lo = max(1, math.floor(max(rc - radius, 0.0) ** 2) - 2)
+    m_lo = max(n_min, math.floor(max(rc - radius, 0.0) ** 2) - 2)
     m_hi = math.ceil((rc + radius) ** 2) + 2
     k = np.arange(m_lo - n, m_hi - n + 1, dtype=np.int64)
     scaled = alpha * (1 << HEAD_BITS)
@@ -61,7 +61,9 @@ def window_indices(alpha: Fraction, n: int, radius: float):
     head %= 1 << HEAD_BITS
     turns = ((k * head) % (1 << HEAD_BITS)) / float(1 << HEAD_BITS) + k * tail
     rm = np.sqrt((k + n).astype(np.float64))
-    d = np.sqrt((k / (rm + rc)) ** 2 + 4.0 * rm * rc * np.sin(np.pi * turns) ** 2)
+    # sqrt(m) - sqrt(n), which is 0 at m = n = 0
+    gap = np.divide(k, rm + rc, out=np.zeros(len(k)), where=k != 0)
+    d = np.sqrt(gap**2 + 4.0 * rm * rc * np.sin(np.pi * turns) ** 2)
     kept = set((k[d <= radius - BOUNDARY_SLACK] + n).tolist())
     undecided = []
     for m in (k[np.abs(d - radius) < BOUNDARY_SLACK] + n).tolist():
