@@ -15,19 +15,35 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidSpec, WindowTooSmall
 
 BRACKET_TOL = 1e-9
 
 
+def kd_tree(points: np.ndarray):
+    """k-d tree over ``points`` for nearest-neighbour queries.
+
+    Every nearest-neighbour query in the package goes through this helper.
+    The tree library is imported on the first call, so importing the package
+    and running a command that queries no tree never loads it.
+    """
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
+
+
 @dataclass
 class Patch:
     """Complete finite window of a closed set inside B_W(0).
 
-    Completeness is the caller's contract; windows built by the spiral and
-    lattice enumerators satisfy it by construction.
+    Construction checks that the radius is positive (not NaN), that every
+    coordinate is finite, that every point lies within W (plus 1e-9), and
+    that the points are pairwise distinct as rows compared exactly, so
+    -0.0 equals 0.0 and points one ulp apart are distinct.  Distinctness is
+    checked by sorting the rows and comparing neighbours.  Completeness is
+    the caller's contract; windows built by the spiral and lattice
+    enumerators satisfy it by construction.
     """
 
     points: np.ndarray
@@ -38,17 +54,21 @@ class Patch:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 2)
         self.points = pts
-        if self.window_radius <= 0:
+        # written as "not > 0" so that a NaN radius is rejected too
+        if not self.window_radius > 0:
             raise InvalidSpec("window radius must be positive")
         if len(pts):
+            if not np.isfinite(pts).all():
+                raise InvalidSpec("patch points must be finite")
             norms = np.hypot(pts[:, 0], pts[:, 1])
             if norms.max() > self.window_radius + 1e-9:
                 raise InvalidSpec(
                     f"point at {norms.max():.6g} outside window {self.window_radius}"
                 )
             if len(pts) > 1:
-                d, _ = cKDTree(pts).query(pts, k=2)
-                if d[:, 1].min() == 0.0:
+                # equal rows are adjacent once sorted (NaN is excluded above)
+                srt = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+                if (srt[1:] == srt[:-1]).all(axis=1).any():
                     raise InvalidSpec("patch points must be pairwise distinct")
 
     def __len__(self):
@@ -95,7 +115,7 @@ class _SideIndex:
             return
         norms = np.hypot(own[:, 0], own[:, 1])
         if len(other):
-            nn, _ = cKDTree(other).query(own, k=1)
+            nn, _ = kd_tree(other).query(own, k=1)
         else:
             nn = np.full(len(own), np.inf)
         order = np.argsort(norms, kind="stable")

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .chabauty_metric import Patch
+from .chabauty_metric import Patch, kd_tree
 from .errors import InvalidSpec, NotALattice, WindowTooLarge
 from .lattice2d import fit_lattice
 from .number_theory import AngleSpec
@@ -61,7 +60,7 @@ def delone_constants(patch: Patch, grid_step: float) -> DeloneConstants:
     if grid_step <= 0:
         raise InvalidSpec("grid step must be positive")
     w = patch.window_radius
-    tree = cKDTree(pts)
+    tree = kd_tree(pts)
     d, _ = tree.query(pts, k=2)
     packing = float(d[:, 1].min()) / 2
 

@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .chabauty_metric import Patch
+from .chabauty_metric import Patch, kd_tree
 from .errors import DegenerateBasis, InvalidSpec, NotALattice, WindowTooLarge
 
 _MAX_BALL_POINTS = 2_000_000
@@ -221,7 +220,7 @@ def fit_lattice(patch: Patch, tol: float = 0.05) -> LatticeFit:
         )
     ball = lattice_ball(basis, w - tol)
     if len(ball):
-        dist, _ = cKDTree(pts).query(ball.points, k=1)
+        dist, _ = kd_tree(pts).query(ball.points, k=1)
         missing = int((dist > tol).sum())
         if missing:
             raise NotALattice(

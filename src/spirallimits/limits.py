@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .chabauty_metric import Patch, chabauty_distance
+from .chabauty_metric import Patch, chabauty_distance, kd_tree
 from .errors import InvalidSpec, NotALattice
 from .lattice2d import Basis2, fit_lattice, lattice_ball, same_lattice
 from .number_theory import (
@@ -358,13 +358,11 @@ def group_closure_check(patch: Patch, tol: float = DEFAULT_FIT_TOL) -> ClosureRe
     Additive: all u, v with |u|, |v| <= W/2 and |u+v| <= W-1 have a patch
     point within tol of u+v.  Inversion: |u| <= W-1 has one within tol of -u.
     """
-    from scipy.spatial import cKDTree
-
     pts = patch.points
     w = patch.window_radius
     if len(pts) == 0:
         return ClosureReport(0, 0, 0.0, 0, 0, 0.0, tol)
-    tree = cKDTree(pts)
+    tree = kd_tree(pts)
     norms = np.hypot(pts[:, 0], pts[:, 1])
     small = pts[norms <= w / 2]
     sums = small[:, None, :] + small[None, :, :]

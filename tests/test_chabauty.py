@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spirallimits import InvalidSpec, WindowTooSmall
+from spirallimits import InvalidSpec, WindowTooSmall, parse_angle
 from spirallimits.chabauty_metric import (
     Patch,
     cauchy_report,
@@ -14,6 +14,7 @@ from spirallimits.chabauty_metric import (
     _SideIndex,
     _feasible,
 )
+from spirallimits.spiral import recentered_window
 
 
 def delta_oracle(a: Patch, b: Patch) -> float:
@@ -195,3 +196,64 @@ def test_patch_validation():
         Patch(np.array([[50.0, 0.0]]), 10)
     with pytest.raises(InvalidSpec):
         Patch(np.array([[1.0, 0.0], [1.0, 0.0]]), 10)
+    # non-finite input: one NaN point, a NaN among several, an infinite
+    # coordinate, a NaN radius
+    for bad in ([[math.nan, 0.0]], [[0.0, 0.0], [1.0, math.nan], [2.0, 0.0]],
+                [[0.0, math.inf], [1.0, 0.0]]):
+        with pytest.raises(InvalidSpec, match="finite"):
+            Patch(np.array(bad), 10)
+    with pytest.raises(InvalidSpec):
+        Patch(np.array([[1.0, 0.0]]), math.nan)
+    # a duplicate far apart in input order among ~1,000 points
+    pts = disk_ints(17)
+    assert 900 < len(pts) < 1100
+    Patch(pts, 20)
+    with pytest.raises(InvalidSpec, match="distinct"):
+        Patch(np.vstack([pts, pts[3:4]]), 20)
+    with pytest.raises(InvalidSpec, match="distinct"):
+        Patch(np.vstack([pts[-1:], pts]), 20)
+    # exact row comparison: -0.0 equals 0.0, one ulp apart is distinct
+    with pytest.raises(InvalidSpec, match="distinct"):
+        Patch(np.array([[0.0, 0.0], [-0.0, 0.0]]), 10)
+    with pytest.raises(InvalidSpec, match="distinct"):
+        Patch(np.array([[1.0, 0.0], [2.0, 2.0], [1.0, -0.0]]), 10)
+    Patch(np.array([[1.0, 0.0], [np.nextafter(1.0, 2.0), 0.0]]), 10)
+    Patch(np.array([[0.5, 0.25], [0.5, np.nextafter(0.25, 0.0)]]), 10)
+    # a k-d tree reports distance 0 here (the squared gap underflows)
+    Patch(np.array([[0.0, 0.0], [1e-200, 0.0]]), 10)
+    # the dense collinear rat:1/2 window (120,001 points on a few lines)
+    _, offsets, errs = recentered_window(parse_angle("rat:1/2"), 4_000_000, 30)
+    assert len(Patch(offsets, 30, point_errors=errs)) == 120_001
+
+
+def test_patch_distinctness_matches_tree_oracle():
+    """Sorted-row distinctness decides like a nearest-neighbour distance of 0."""
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(7)
+    rejected = 0
+    for _ in range(300):
+        side = int(rng.integers(1, 15))
+        step = float(rng.choice([1.0, 0.5, 0.1]))
+        g = np.arange(-side, side + 1) * step
+        grid = np.array(np.meshgrid(g, g)).reshape(2, -1).T
+        pts = grid[rng.permutation(len(grid))[: int(rng.integers(1, len(grid) + 1))]]
+        if rng.random() < 0.5:
+            extra = pts[rng.integers(0, len(pts), size=int(rng.integers(1, 4)))]
+            pts = np.vstack([pts, extra])
+        pts = pts[rng.permutation(len(pts))]
+        pts[(pts == 0.0) & (rng.random(pts.shape) < 0.5)] = -0.0
+        if len(pts) > 1:
+            d, _ = cKDTree(pts).query(pts, k=2)
+            expect_reject = bool(d[:, 1].min() == 0.0)
+        else:
+            expect_reject = False
+        w = side * step * math.sqrt(2) + 1
+        try:
+            Patch(pts, w)
+            got_reject = False
+        except InvalidSpec:
+            got_reject = True
+        assert got_reject == expect_reject
+        rejected += got_reject
+    assert 50 < rejected < 250

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spirallimits
 from spirallimits.cli import main
 from spirallimits.errors import TooManyPoints
 from spirallimits.svgplot import render_svg
@@ -20,6 +25,17 @@ def run(args):
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def run_python(code, *args, cwd=None):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(spirallimits.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=300,
+    )
 
 
 # --- basic runs ---------------------------------------------------------------
@@ -98,6 +114,21 @@ def test_delta_between_patch_files(tmp_path):
     assert float(data["bracket"][1]) - float(data["bracket"][0]) <= 1e-9
 
 
+def test_delta_rejects_nan_patch_row(tmp_path, capsys):
+    p1, p2 = tmp_path / "p1", tmp_path / "p2"
+    for n, out in ((2000, p1), (2001, p2)):
+        assert run(["patch", "--alpha", "quad:1,1,2,5", "--center-index", n,
+                    "--window", 6, "--out", out]) == 0
+    with (p1 / "patch.csv").open("a") as fh:
+        fh.write("1999,nan,0.5,1e-13\n")
+    capsys.readouterr()
+    assert run(["delta", "--a", p1 / "patch.csv", "--b", p2 / "patch.csv",
+                "--out", tmp_path / "delta"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert "Traceback" not in err
+
+
 def test_exit_codes(tmp_path):
     assert run(["cf", "--alpha", "rat:1/0", "--count", 5,
                 "--out", tmp_path / "bad"]) == 2
@@ -117,6 +148,57 @@ def test_svg_over_budget_writes_nothing(tmp_path, args):
     out = tmp_path / "dense"
     assert run(args + ["--out", out]) == 2
     assert list(out.iterdir()) == []
+
+
+# --- import path -------------------------------------------------------------------
+
+def test_cli_import_does_not_load_scipy():
+    proc = run_python("import sys, spirallimits.cli; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# subcommands that query no nearest-neighbour tree
+TREE_FREE_COMMANDS = [
+    ["cf", "--alpha", "quad:1,1,2,5", "--count", "40", "--out", "cf"],
+    ["triplets", "--alpha", "quad:0,1,1,2", "--j", "1:40", "--out", "triplets"],
+    ["predict", "--alpha", "quad:1,1,2,5", "--t", "1.1", "--theta", "0.3",
+     "--out", "predict"],
+    ["compare-forms", "--alpha", "quad:0,1,1,2", "--t", "0.9", "--theta", "1.2",
+     "--out", "compare"],
+    ["spiral", "--alpha", "quad:1,1,2,5", "--n-range", "1:200", "--out", "spiral"],
+    ["patch", "--alpha", "quad:1,1,2,5", "--center-index", "1000000", "--window", "8",
+     "--out", "patch"],
+    ["density", "--alpha", "quad:1,1,2,5", "--r", "1.5,10,250", "--out", "density"],
+    ["report", "--run", "patch", "--out", "report"],
+]
+
+RUN_COMMANDS = """
+import json, sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from spirallimits.cli import main
+for argv in json.loads(sys.argv[2]):
+    code = main(argv)
+    if code:
+        sys.exit(f"{argv[0]} exited with {code}")
+"""
+
+
+def test_tree_free_commands_run_without_scipy(tmp_path):
+    runs = {}
+    for mode in ("block", "normal"):
+        cwd = tmp_path / mode
+        cwd.mkdir()
+        proc = run_python(RUN_COMMANDS, mode, json.dumps(TREE_FREE_COMMANDS), cwd=cwd)
+        assert proc.returncode == 0, proc.stderr
+        files = {str(p.relative_to(cwd)): p.read_bytes()
+                 for p in sorted(cwd.rglob("*")) if p.is_file()}
+        runs[mode] = (proc.stdout, files)
+    assert {name.split(os.sep)[0] for name in runs["block"][1]} == {
+        argv[-1] for argv in TREE_FREE_COMMANDS}
+    assert runs["block"] == runs["normal"]
 
 
 # --- determinism -----------------------------------------------------------------
