@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, WindowTooSmall
+from .errors import InvalidSpec, SpiralLimitsError, WindowTooSmall
 
 BRACKET_TOL = 1e-9
 
@@ -26,9 +26,13 @@ def kd_tree(points: np.ndarray):
 
     Every nearest-neighbour query in the package goes through this helper.
     The tree library is imported on the first call, so importing the package
-    and running a command that queries no tree never loads it.
+    and running a command that queries no tree never loads it; where it is
+    missing, the call raises SpiralLimitsError naming it.
     """
-    from scipy.spatial import cKDTree
+    try:
+        from scipy.spatial import cKDTree
+    except ImportError as exc:
+        raise SpiralLimitsError(f"nearest-neighbour queries need scipy: {exc}") from exc
 
     return cKDTree(points)
 

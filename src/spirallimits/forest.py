@@ -17,7 +17,7 @@ from .chabauty_metric import Patch, kd_tree
 from .errors import InvalidSpec, NotALattice, WindowTooLarge
 from .lattice2d import fit_lattice
 from .number_theory import AngleSpec
-from .spiral import recentered_window, spiral_point
+from .spiral import recentered_window
 
 VERIFY_MARGIN = 1e-9
 
@@ -292,8 +292,7 @@ def spiral_empty_rectangle_search(alpha: AngleSpec, window_radius: float,
         probe = empty_rectangle_search(patch, eps, length)
         if probe is None:
             continue
-        cpt = spiral_point(alpha, n_c)
-        gc = (probe.center[0] + cpt.x, probe.center[1] + cpt.y)
+        gc = (probe.center[0] + win.center[0], probe.center[1] + win.center[1])
         global_probe = RectangleProbe(
             center=gc, direction=probe.direction, width=eps, length=length
         )

@@ -10,7 +10,11 @@ certified error bound.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +23,17 @@ from mpmath import iv, mp
 from .errors import InvalidSpec, PrecisionExhausted
 
 MIN_LITERAL_BITS = 64
+
+
+@contextmanager
+def _iv_prec(prec: int):
+    """Run the block at interval precision ``prec``; mpmath's iv has no workprec."""
+    old = iv.prec
+    iv.prec = prec
+    try:
+        yield
+    finally:
+        iv.prec = old
 
 
 # ---------------------------------------------------------------------------
@@ -43,12 +58,8 @@ class AngleSpec:
 
     def interval(self, prec: int):
         """Certified enclosure of the angle as an iv.mpf at the given precision."""
-        old = iv.prec
-        iv.prec = prec
-        try:
+        with _iv_prec(prec):
             return self._interval(prec)
-        finally:
-            iv.prec = old
 
     def canonical(self) -> str:
         raise NotImplementedError
@@ -297,9 +308,7 @@ def _sign_of(obj) -> int:
 
 
 def _iv_of(obj, prec: int):
-    old = iv.prec
-    iv.prec = prec
-    try:
+    with _iv_prec(prec):
         tag = obj[0]
         if tag == "frac":
             v = obj[1]
@@ -311,8 +320,6 @@ def _iv_of(obj, prec: int):
         a = iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
         b = iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
         return iv.mpf([a.a, b.b])
-    finally:
-        iv.prec = old
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +351,6 @@ class QuadExpansion:
         return self.quotients[self.preperiod + k]
 
 
-def _expand_rational(num: int, den: int) -> list:
-    out = []
-    while den:
-        a, rem = divmod(num, den)
-        out.append(a)
-        num, den = den, rem
-    return out
-
-
 def _quad_cf_state(alpha: QuadraticAngle):
     """Initial (P, D, Q) with Q | D - P^2 so the integer recurrence is exact."""
     a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
@@ -365,103 +363,121 @@ def _quad_cf_state(alpha: QuadraticAngle):
     return P, D, Q
 
 
-def _quad_expansion(alpha: QuadraticAngle, min_count: int) -> QuadExpansion:
+def _quad_expansion(alpha: QuadraticAngle) -> QuadExpansion:
+    """Quotients up to the first repeated state (P, Q): the preperiod and one period."""
     P, D, Q = _quad_cf_state(alpha)
     quotients = []
     seen = {}
-    preperiod = period = None
-    while True:
-        key = (P, Q)
-        if key in seen and preperiod is None:
-            preperiod = seen[key]
-            period = len(quotients) - preperiod
-            if len(quotients) >= min_count:
-                break
-        seen.setdefault(key, len(quotients))
-        if Q > 0:
-            a = _quad_floor(P, 1, Q, D)
-        else:
-            a = _quad_floor(-P, -1, -Q, D)
+    while (P, Q) not in seen:
+        seen[(P, Q)] = len(quotients)
+        a = _quad_floor(P, 1, Q, D) if Q > 0 else _quad_floor(-P, -1, -Q, D)
         quotients.append(a)
-        P1 = a * Q - P
-        Q1 = (D - P1 * P1) // Q
-        P, Q = P1, Q1
-        if preperiod is not None and len(quotients) >= min_count:
-            break
-    return QuadExpansion(quotients=quotients, preperiod=preperiod, period=period)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    preperiod = seen[(P, Q)]
+    return QuadExpansion(quotients, preperiod, len(quotients) - preperiod)
 
 
-def _expand_decimal(alpha: DecimalAngle, count: int) -> list:
-    lo, hi = alpha.bounds_fraction()
-    out = []
-    for j in range(count):
-        flo, fhi = math.floor(lo), math.floor(hi)
-        if flo != fhi:
-            raise PrecisionExhausted(
-                f"literal too coarse to certify partial quotient a_{j + 1}"
-            )
-        out.append(flo)
-        if j == count - 1:
-            break
-        lo, hi = lo - flo, hi - flo
+def _interval_quotients(lo: Fraction, hi: Fraction):
+    """Quotients shared by every real in [lo, hi]: a rational's (lo == hi) end with
+    a zero remainder, a literal's raise at the first quotient it cannot certify."""
+    for j in itertools.count(1):
+        a = math.floor(lo)
+        if a != math.floor(hi):
+            raise PrecisionExhausted(f"literal too coarse to certify partial quotient a_{j}")
+        yield a
+        lo, hi = lo - a, hi - a
+        if lo == hi == 0:
+            return
         if lo <= 0:
-            raise PrecisionExhausted(
-                f"literal too coarse to certify partial quotient a_{j + 2}"
-            )
+            raise PrecisionExhausted(f"literal too coarse to certify partial quotient a_{j + 1}")
         lo, hi = 1 / hi, 1 / lo
-    return out
+
+
+class _Expansion:
+    """Partial quotients and convergents of one angle, grown one quotient at a time.
+
+    The table holds exactly the depth asked for so far.  When a literal's
+    stream raises, the message is kept and raised again for every later
+    request that needs that depth.  Callers get copies of the lists.
+    """
+
+    def __init__(self, alpha: AngleSpec):
+        self.period = _quad_expansion(alpha) if isinstance(alpha, QuadraticAngle) else None
+        if self.period is not None:
+            self._stream = map(self.period.quotient, itertools.count(1))
+        elif isinstance(alpha, DecimalAngle):
+            self._stream = _interval_quotients(*alpha.bounds_fraction())
+        else:
+            self._stream = _interval_quotients(alpha.as_fraction(), alpha.as_fraction())
+        self.quotients, self.convergents = [], []
+        self._last = ((0, 1), (1, 0))  # (p, q) at j - 1 and j, starting from j = 0
+        self._failure = None
+
+    def _grow(self) -> bool:
+        """Append the next quotient and convergent; False once the expansion has ended."""
+        if self._failure is not None:
+            raise PrecisionExhausted(self._failure)
+        try:
+            a = next(self._stream, None)
+        except PrecisionExhausted as exc:
+            self._failure = str(exc)
+            raise
+        if a is None:
+            return False
+        (p0, q0), (p1, q1) = self._last
+        self._last = (p1, q1), (a * p1 + p0, a * q1 + q0)
+        self.quotients.append(a)
+        self.convergents.append(Convergent(len(self.quotients), *self._last[1]))
+        return True
+
+    def upto(self, count: int) -> "_Expansion":
+        """Grow to ``count`` quotients, or to the end of the expansion."""
+        while len(self.quotients) < count and self._grow():
+            pass
+        return self
+
+    def past(self, n: int) -> list:
+        """Convergents through the first with q > n; all of them if none has."""
+        while (not self.convergents or self.convergents[-1].q <= n) and self._grow():
+            pass
+        return self.convergents[: bisect.bisect_right(self.convergents, n, key=lambda c: c.q) + 1]
+
+
+@functools.lru_cache(maxsize=256)  # angles kept per process; the least recently used go
+def _expansion(alpha: AngleSpec) -> _Expansion:
+    """The process's expansion table of ``alpha``; specs are frozen and normalized."""
+    return _Expansion(alpha)
 
 
 def expand_cf(alpha: AngleSpec, count: int) -> list:
     """First ``count`` partial quotients; fewer if a rational expansion ends."""
     if count < 1:
         raise InvalidSpec("count must be >= 1")
-    if isinstance(alpha, RationalAngle):
-        return _expand_rational(alpha.num, alpha.den)[:count]
-    if isinstance(alpha, QuadraticAngle):
-        exp = _quad_expansion(alpha, count)
-        return [exp.quotient(j) for j in range(1, count + 1)]
-    return _expand_decimal(alpha, count)
+    return _expansion(alpha).upto(count).quotients[:count]
 
 
 def cf_period(alpha: QuadraticAngle) -> QuadExpansion:
     """Expansion with detected preperiod/period for a quadratic irrational."""
     if not isinstance(alpha, QuadraticAngle):
         raise InvalidSpec("periodicity is only defined for quadratic irrationals")
-    return _quad_expansion(alpha, 1)
+    exp = _expansion(alpha).period
+    return QuadExpansion(list(exp.quotients), exp.preperiod, exp.period)
 
 
 def convergents(alpha: AngleSpec, count: int) -> list:
     """Convergents p_j/q_j, j = 1..count (shorter if the expansion ends)."""
-    quots = expand_cf(alpha, count)
-    out = []
-    p_prev, q_prev = 1, 0
-    p, q = None, None
-    for j, a in enumerate(quots, start=1):
-        if j == 1:
-            p, q = a, 1
-        else:
-            p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
-        out.append(Convergent(j=j, p=p, q=q))
-    return out
+    if count < 1:
+        raise InvalidSpec("count must be >= 1")
+    return _expansion(alpha).upto(count).convergents[:count]
 
 
 def largest_denominator_at_most(alpha: AngleSpec, n: int) -> Convergent:
     """The convergent with the largest denominator q <= n."""
     if n < 1:
         raise InvalidSpec("n must be >= 1")
-    best = None
-    count = 16
-    while True:
-        convs = convergents(alpha, count)
-        for cv in convs:
-            if cv.q <= n:
-                best = cv
-            else:
-                return best
-        if len(convs) < count:  # expansion terminated
-            return best
-        count *= 2
+    convs = _expansion(alpha).past(n)
+    return convs[-1] if convs[-1].q <= n else convs[-2]
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +523,8 @@ def triplet(alpha: AngleSpec, j: int, prec: int | None = None) -> TripletSample:
     r_j1 = _residue_exact(alpha, cj1.p, cj1.q)
     c_iv = _iv_of(_scale(r_j, cj.q), working)
     ct_iv = _iv_of(_scale(r_j1, cj1.q), working)
-    old = iv.prec
-    iv.prec = working
-    try:
+    with _iv_prec(working):
         beta_iv = iv.mpf(cj1.q) / iv.mpf(cj.q)
-    finally:
-        iv.prec = old
     err = max(float(mp.mpf(x.delta) / 2) for x in (beta_iv, c_iv, ct_iv))
     if err > 2.0**-64:
         raise PrecisionExhausted(
@@ -582,12 +594,8 @@ def verify_cf_identities(alpha: AngleSpec, j_range) -> IdentityReport:
             working = max(alpha.precision, 2 * cj1.q.bit_length() + 96)
             t1 = _iv_of(_scale(r_j1, cj.q * s_j1), working)
             t2 = _iv_of(_scale(r_j, cj1.q * s_j), working)
-            old = iv.prec
-            iv.prec = working
-            try:
+            with _iv_prec(working):
                 total = t1 + t2 - iv.mpf(1)
-            finally:
-                iv.prec = old
             bound = float(max(abs(mp.mpf(total.a)), abs(mp.mpf(total.b))))
             mid = float((mp.mpf(total.a) + mp.mpf(total.b)) / 2)
             if bound >= 2.0**-80:
@@ -686,8 +694,7 @@ class TripletLimit:
 
 
 def class_modulus(alpha: QuadraticAngle) -> int:
-    exp = cf_period(alpha)
-    return math.lcm(exp.period, 2)
+    return math.lcm(cf_period(alpha).period, 2)
 
 
 def class_triplet_limit(alpha: QuadraticAngle, j: int, depth: int = 160) -> TripletLimit:
@@ -696,14 +703,20 @@ def class_triplet_limit(alpha: QuadraticAngle, j: int, depth: int = 160) -> Trip
     Evaluated at a deep index in the same class; the drift from the true limit
     decays like 1/q_J^2, which at the default depth is vastly below any
     tolerance used downstream.  The reported ``err`` adds a measured
-    depth-to-depth drift on top of the evaluation bound.
+    depth-to-depth drift on top of the evaluation bound.  The evaluation index
+    depends only on the class and the depth; each is evaluated once per process.
     """
     if not isinstance(alpha, QuadraticAngle):
         raise InvalidSpec("triplet limits need a quadratic irrational angle")
-    exp = cf_period(alpha)
+    exp = _expansion(alpha).period
     modulus = math.lcm(exp.period, 2)
     big = max(depth, exp.preperiod + 4 * modulus + 8)
     big += (j - big) % modulus  # big = j (mod modulus), big >= depth
+    return _class_limit_at(alpha, big, modulus)
+
+
+@functools.lru_cache(maxsize=1024)  # class limits kept per process
+def _class_limit_at(alpha: QuadraticAngle, big: int, modulus: int) -> TripletLimit:
     t1 = triplet(alpha, big)
     t2 = triplet(alpha, big + 2 * modulus)
     drift = max(
@@ -712,7 +725,7 @@ def class_triplet_limit(alpha: QuadraticAngle, j: int, depth: int = 160) -> Trip
         abs(float(t1.ctilde - t2.ctilde)),
     )
     return TripletLimit(
-        class_index=j % modulus,
+        class_index=big % modulus,
         modulus=modulus,
         beta=t2.beta,
         c=t2.c,

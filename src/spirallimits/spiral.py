@@ -33,9 +33,10 @@ from .number_theory import (
     DecimalAngle,
     QuadraticAngle,
     RationalAngle,
+    _expansion,
     _iv_of,
+    _iv_prec,
     _quad_floor,
-    convergents,
     largest_denominator_at_most,
 )
 
@@ -113,16 +114,19 @@ class SpiralPoint:
 
 
 def _position_iv(alpha: AngleSpec, n: int, prec: int):
-    """Interval position of x_n at the given working precision."""
-    old = iv.prec
-    iv.prec = prec
-    try:
+    """Interval x_n = (x, y) at working precision ``prec``, and the enclosures
+    (theta, cos, sin) of frac(alpha * n) and of its angle's cosine and sine."""
+    with _iv_prec(prec):
         theta = _iv_of(_frac_exact(alpha, n), prec)
         ang = 2 * iv.pi * theta
         r = iv.sqrt(iv.mpf(n))
-        return r * iv.cos(ang), r * iv.sin(ang)
-    finally:
-        iv.prec = old
+        cos, sin = iv.cos(ang), iv.sin(ang)
+        return r * cos, r * sin, (theta, cos, sin)
+
+
+def _mid(v) -> float:
+    """Float64 midpoint of an interval."""
+    return float(mp.mpf(v.a) + mp.mpf(v.b)) / 2
 
 
 def spiral_point(alpha: AngleSpec, n: int, prec: int | None = None) -> SpiralPoint:
@@ -130,9 +134,8 @@ def spiral_point(alpha: AngleSpec, n: int, prec: int | None = None) -> SpiralPoi
     if n < 0:
         raise InvalidSpec("index must be nonnegative")
     working = prec if prec is not None else default_prec(n)
-    xi, yi = _position_iv(alpha, n, working)
-    x = float(mp.mpf(xi.a) + mp.mpf(xi.b)) / 2
-    y = float(mp.mpf(yi.a) + mp.mpf(yi.b)) / 2
+    xi, yi, _ = _position_iv(alpha, n, working)
+    x, y = _mid(xi), _mid(yi)
     # interval width plus float64 quantization of the exported coordinates
     err = float(mp.mpf(xi.delta) + mp.mpf(yi.delta)) / 2
     quant = max(abs(x), abs(y)) * 2.0**-52
@@ -163,15 +166,8 @@ def _convergent_pair(alpha: AngleSpec, k_max: int):
     convergent 1/0 heads the list so integer angles have a pair too, and a
     rational whose expansion ends at or below k_max gets its final pair.
     """
-    count = 16
-    while True:
-        seq = [(1, 0)] + [(c.p, c.q) for c in convergents(alpha, count)]
-        for a, b in zip(seq, seq[1:]):
-            if b[1] > k_max:
-                return a, b
-        if len(seq) <= count:
-            return seq[-2], seq[-1]
-        count *= 2
+    seq = [(1, 0)] + [(c.p, c.q) for c in _expansion(alpha).past(k_max)]
+    return seq[-2], seq[-1]
 
 
 def _lattice_box(alpha: AngleSpec, k_max: int, half_turns: float, delta0: float):
@@ -318,13 +314,11 @@ def _iv_abs_square(v):
 
 def _certify_members(alpha: AngleSpec, candidates, cx_iv, cy_iv, radius: float, prec: int):
     """Interval re-check of candidates; returns kept indices and offsets."""
-    old = iv.prec
-    iv.prec = prec
-    try:
+    with _iv_prec(prec):
         r_iv = iv.mpf(mp.mpf(radius))
         kept, xs, ys, errs = [], [], [], []
         for m in candidates.tolist():
-            xi, yi = _position_iv(alpha, m, prec)
+            xi, yi, _ = _position_iv(alpha, m, prec)
             dx = xi - cx_iv
             dy = yi - cy_iv
             dist = iv.sqrt(_iv_abs_square(dx) + _iv_abs_square(dy))
@@ -334,8 +328,7 @@ def _certify_members(alpha: AngleSpec, candidates, cx_iv, cy_iv, radius: float, 
                 raise PrecisionExhausted(
                     f"membership of n={m} undecidable at radius {radius}"
                 )
-            x = float(mp.mpf(dx.a) + mp.mpf(dx.b)) / 2
-            y = float(mp.mpf(dy.a) + mp.mpf(dy.b)) / 2
+            x, y = _mid(dx), _mid(dy)
             err = float(mp.mpf(dx.delta) + mp.mpf(dy.delta)) / 2 + (abs(x) + abs(y)) * 2.0**-52
             kept.append(m)
             xs.append(x)
@@ -346,8 +339,6 @@ def _certify_members(alpha: AngleSpec, candidates, cx_iv, cy_iv, radius: float, 
             np.column_stack([xs, ys]) if kept else np.empty((0, 2)),
             np.asarray(errs),
         )
-    finally:
-        iv.prec = old
 
 
 def indices_in_ball(alpha: AngleSpec, center, radius: float, *,
@@ -375,12 +366,8 @@ def indices_in_ball(alpha: AngleSpec, center, radius: float, *,
     )
     cand = np.unique(m[dist <= radius + _FILTER_SLACK])
     prec = _window_prec(rc, radius)
-    old = iv.prec
-    iv.prec = prec
-    try:
+    with _iv_prec(prec):
         cx_iv, cy_iv = iv.mpf(cx), iv.mpf(cy)
-    finally:
-        iv.prec = old
     kept, _, _ = _certify_members(alpha, cand, cx_iv, cy_iv, radius, prec)
     return IndexWindow(center=(cx, cy), radius=radius, indices=kept, n_min=n_min)
 
@@ -393,13 +380,14 @@ def recentered_window(alpha: AngleSpec, n_center: int, radius: float, *,
     float64 rows, sorted by m, and errs bounds the Euclidean error of each
     row; it is one value for the whole window.  Offsets are evaluated in
     float64 in the frame rotated to the center (see ``_candidates``) and
-    turned by the center's angle, taken from an enclosure of
-    frac(n_center * alpha) whose half-width h turns each offset by at most
-    2 pi h |offset|.  Points farther than the bound from the radius are
-    decided by their float distance; the rest are settled by interval
-    arithmetic, which raises PrecisionExhausted when it cannot decide.  The
-    mpmath work is a fixed number of evaluations per window plus one per
-    such boundary point.
+    turned by the midpoints of the cosine and sine enclosures of the center's
+    angle; an enclosure of frac(n_center * alpha) of half-width h makes that
+    turn off by at most 2 pi h |offset|.  The same one interval evaluation of
+    the center gives ``IndexWindow.center`` and the boundary check's center.
+    Points farther than the bound from the radius are decided by their float
+    distance; the rest are settled by interval arithmetic, which raises
+    PrecisionExhausted when it cannot decide.  The mpmath work is a fixed
+    number of evaluations per window plus one per such boundary point.
     """
     if radius <= 0:
         raise InvalidSpec("radius must be positive")
@@ -407,13 +395,15 @@ def recentered_window(alpha: AngleSpec, n_center: int, radius: float, *,
         raise InvalidSpec("center index below n_min")
     prec = _window_prec(math.sqrt(float(n_center)), radius)
     m, dx, dy, dist, err = _candidates(alpha, n_center, radius, n_min)
-    theta = _iv_of(_frac_exact(alpha, n_center), prec)
+    cx_iv, cy_iv, (theta, cos, sin) = _position_iv(alpha, n_center, prec)
     with mp.workprec(prec):
-        lo, hi = mp.mpf(theta.a), mp.mpf(theta.b)
-        ex, ey = float(mp.cos(mp.pi * (lo + hi))), float(mp.sin(mp.pi * (lo + hi)))
-        half_width = float(hi - lo) / 2
-    # the turn by 2 pi h, plus rounding of cos, sin and the rotation (8u), for
-    # kept offsets: no longer than the radius plus the error before turning
+        ex, ey = (float((mp.mpf(v.a) + mp.mpf(v.b)) / 2) for v in (cos, sin))
+        half_width = float(mp.mpf(theta.b) - mp.mpf(theta.a)) / 2
+    # The center's angle lies within w = 2 pi h of its enclosure's middle, and
+    # (ex, ey), the midpoints of the cos and sin enclosures over that arc, lies
+    # within sin(w) <= 2 pi h (plus outward rounding near 2^-prec) of its
+    # (cos, sin); kept offsets are no longer than the radius plus the error
+    # before turning, and rounding of (ex, ey) and of the rotation stays in 8u.
     err += (radius + err) * (2 * math.pi * half_width + 8 * _U)
     keep = np.flatnonzero(dist <= radius + err)
     m, first = np.unique(m[keep], return_index=True)
@@ -421,26 +411,24 @@ def recentered_window(alpha: AngleSpec, n_center: int, radius: float, *,
     dx, dy = dx[keep], dy[keep]
     shell = np.flatnonzero(dist[keep] > radius - err)
     if len(shell):
-        cx_iv, cy_iv = _position_iv(alpha, n_center, prec)
         members, _, _ = _certify_members(alpha, m[shell], cx_iv, cy_iv, radius, prec)
         out = shell[~np.isin(m[shell], members)]
         m, dx, dy = np.delete(m, out), np.delete(dx, out), np.delete(dy, out)
     offsets = np.column_stack([dx * ex - dy * ey, dx * ey + dy * ex])
     # the recentered center itself is exactly the origin, not -0.0
     offsets[m == n_center] = 0.0
-    center = spiral_point(alpha, n_center, prec)
-    win = IndexWindow(center=(center.x, center.y), radius=radius, indices=m, n_min=n_min)
+    center = (_mid(cx_iv), _mid(cy_iv))  # as spiral_point(alpha, n_center, prec) exports it
+    win = IndexWindow(center=center, radius=radius, indices=m, n_min=n_min)
     return win, offsets, np.full(len(m), err)
 
 
 def offset_between(alpha: AngleSpec, m: int, n: int, prec: int | None = None):
     """x_m - x_n as float64 with a certified error bound."""
     working = prec if prec is not None else default_prec(max(m, n))
-    xm, ym = _position_iv(alpha, m, working)
-    xn, yn = _position_iv(alpha, n, working)
+    xm, ym, _ = _position_iv(alpha, m, working)
+    xn, yn, _ = _position_iv(alpha, n, working)
     dx, dy = xm - xn, ym - yn
-    x = float(mp.mpf(dx.a) + mp.mpf(dx.b)) / 2
-    y = float(mp.mpf(dy.a) + mp.mpf(dy.b)) / 2
+    x, y = _mid(dx), _mid(dy)
     err = float(mp.mpf(dx.delta) + mp.mpf(dy.delta)) / 2 + (abs(x) + abs(y)) * 2.0**-52
     return x, y, err
 
@@ -473,18 +461,14 @@ def nearest_neighbor(alpha: AngleSpec, n: int, *, n_min: int = 1):
     near = ms[dist <= best_d + 2e-9]
     if len(near) > 1:
         prec = _window_prec(math.sqrt(float(n)), r0)
-        x0, y0 = _position_iv(alpha, n, prec)
-        old = iv.prec
-        iv.prec = prec
+        x0, y0, _ = _position_iv(alpha, n, prec)
         dists = []
-        try:
+        with _iv_prec(prec):
             for m in near.tolist():
-                xi, yi = _position_iv(alpha, m, prec)
+                xi, yi, _ = _position_iv(alpha, m, prec)
                 dx, dy = xi - x0, yi - y0
                 dist = iv.sqrt(_iv_abs_square(dx) + _iv_abs_square(dy))
                 dists.append((mp.mpf(dist.a), m))
-        finally:
-            iv.prec = old
         dists.sort(key=lambda t: (t[0], t[1]))
         return int(dists[0][1]), float(dists[0][0])
     return int(ms[best]), best_d

@@ -201,6 +201,17 @@ def test_tree_free_commands_run_without_scipy(tmp_path):
     assert runs["block"] == runs["normal"]
 
 
+def test_tree_command_without_scipy_is_an_error_line(tmp_path):
+    argv = ["delone", "--alpha", "quad:1,1,2,5", "--center-index", "1000", "--window", "6",
+            "--out", "delone"]
+    proc = run_python('import json, sys; sys.modules["scipy"] = None; '
+                      "from spirallimits.cli import main; sys.exit(main(json.loads(sys.argv[1])))",
+                      json.dumps(argv), cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "scipy" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # --- determinism -----------------------------------------------------------------
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -186,6 +186,17 @@ def test_ball_at_float_center_matches_recentered():
     assert np.array_equal(w1.indices, win.indices)
 
 
+@pytest.mark.parametrize("spec", ("rat:13/21",) + IRRATIONAL_SPECS + (COARSE,))
+def test_window_center_is_the_exported_spiral_point(spec):
+    """The window's one center evaluation exports the center as spiral_point
+    does at the window's precision."""
+    alpha = parse_angle(spec)
+    for n, radius in ((0, 4.5), (289, 7.5), (10**9 + 7, 4.0)):
+        win, _, _ = recentered_window(alpha, n, radius, n_min=0)
+        p = spiral_point(alpha, n, spiral._window_prec(math.sqrt(float(n)), radius))
+        assert win.center == (p.x, p.y)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     spec=st.sampled_from(("rat:13/21",) + IRRATIONAL_SPECS),
