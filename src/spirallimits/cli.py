@@ -27,7 +27,7 @@ from .forest import (
     density_ratio,
     spiral_empty_rectangle_search,
 )
-from .lattice2d import lattice_ball, same_lattice
+from .lattice2d import same_lattice
 from .limits import (
     PredictionInput,
     center_indices,
@@ -38,7 +38,6 @@ from .limits import (
     theorem_form_basis,
 )
 from .number_theory import (
-    QuadraticAngle,
     badly_approx_profile,
     class_triplet_limit,
     convergents,
@@ -61,9 +60,11 @@ def _fmt17(x) -> str:
 
 
 def _jsonable(obj):
-    """Floats become 17-digit decimal strings; dataclasses become dicts."""
+    """Floats become 17-digit decimal strings; dataclasses become dicts of
+    their fields, leaving out in-memory objects (fields with repr=False)."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj) if f.repr}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -265,35 +266,17 @@ def _cmd_empirical(args, out: Path):
         alpha, args.t, _parse_range(args.j), args.window, args.tol,
         use_finite_beta=args.finite_beta,
     )
+    # every SVG is rendered before the first artifact is written
+    svgs = [render_svg(args.window, point_layers=[("patch", rec.patch.points)],
+                       cross_layers=[("proof_form", rec.balls[0].points),
+                                     ("theorem_form", rec.balls[1].points)])
+            for rec in report.records]
     outputs = ["report.json"]
-    patches, svgs = [], []  # written after every SVG rendered within budget
-    for rec in report.records:
-        win, offsets, errs = recentered_window(alpha, rec.n, args.window)
-        name = f"patch_j{rec.j}.csv"
-        patches.append((name, win, offsets, errs))
-        outputs.append(name)
-        if isinstance(alpha, QuadraticAngle):
-            lim = class_triplet_limit(alpha, rec.j)
-        else:
-            lim = triplet(alpha, rec.j)
-        pin = PredictionInput(
-            beta=float(lim.beta), c=float(lim.c), ctilde=float(lim.ctilde),
-            t=args.t, theta=rec.theta,
-        )
-        ball_p = lattice_ball(predicted_basis(pin).basis, args.window)
-        ball_t = lattice_ball(theorem_form_basis(pin).basis, args.window)
-        svg = render_svg(
-            args.window,
-            point_layers=[("patch", offsets)],
-            cross_layers=[("proof_form", ball_p.points), ("theorem_form", ball_t.points)],
-        )
-        name = f"overlay_j{rec.j}.svg"
-        svgs.append((name, svg))
-        outputs.append(name)
-    for name, win, offsets, errs in patches:
-        _patch_csv(out / name, win, offsets, errs)
-    for name, svg in svgs:
-        (out / name).write_text(svg)
+    for rec, svg in zip(report.records, svgs):
+        csv, overlay = f"patch_j{rec.j}.csv", f"overlay_j{rec.j}.svg"
+        _patch_csv(out / csv, rec.window, rec.patch.points, rec.patch.point_errors)
+        (out / overlay).write_text(svg)
+        outputs += [csv, overlay]
     _write_json(out / "report.json", report)
     return {"outputs": outputs, "verdict": report.verdict}
 

@@ -12,7 +12,7 @@ measures which one the empirical windows converge to and records the verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from mpmath import mp
@@ -20,15 +20,8 @@ from mpmath import mp
 from .chabauty_metric import Patch, chabauty_distance, kd_tree
 from .errors import InvalidSpec, NotALattice
 from .lattice2d import Basis2, fit_lattice, lattice_ball, same_lattice
-from .number_theory import (
-    AngleSpec,
-    QuadraticAngle,
-    RationalAngle,
-    class_triplet_limit,
-    convergents,
-    triplet,
-)
-from .spiral import angle_fraction, offset_between, recentered_window
+from .number_theory import AngleSpec, convergents
+from .spiral import IndexWindow, angle_fraction, offset_between, recentered_window
 
 PROOF_FORM = "proof_form"
 THEOREM_FORM = "theorem_form"
@@ -116,15 +109,6 @@ class CenterSequence:
     beta_mode: str  # "class_limit" | "finite_ratio"
 
 
-def _class_limits_for(alpha: AngleSpec, j: int):
-    """(beta, c, c~) for j's subsequence, as floats."""
-    if isinstance(alpha, QuadraticAngle):
-        lim = class_triplet_limit(alpha, j)
-        return float(lim.beta), float(lim.c), float(lim.ctilde)
-    t = triplet(alpha, j)
-    return float(t.beta), float(t.c), float(t.ctilde)
-
-
 def center_indices(alpha: AngleSpec, t: float, j_range, *,
                    use_finite_beta: bool = False) -> CenterSequence:
     """Center indices n_j = round(q_j q~_j / (4 t^2 beta)) with angle records.
@@ -133,7 +117,7 @@ def center_indices(alpha: AngleSpec, t: float, j_range, *,
     quadratic irrationals); ``use_finite_beta`` switches to the finite ratio
     q~_j/q_j, which shifts n_j by O(1).
     """
-    if isinstance(alpha, RationalAngle):
+    if alpha.rational:
         raise InvalidSpec("center construction needs an irrational angle")
     if t <= 0:
         raise InvalidSpec("t must be positive")
@@ -143,42 +127,45 @@ def center_indices(alpha: AngleSpec, t: float, j_range, *,
     convs = convergents(alpha, max(js) + 1)
     if len(convs) < max(js) + 1:
         raise InvalidSpec("expansion too short for the requested range")
-    finite_only = use_finite_beta or not isinstance(alpha, QuadraticAngle)
+    beta_mode = "finite_ratio" if use_finite_beta else alpha.beta_mode
     entries = []
     with mp.workprec(240):
         t_mp = mp.mpf(t)
         for j in js:
             q, qn = convs[j - 1].q, convs[j].q
-            if finite_only:
+            if beta_mode == "finite_ratio":
                 beta = mp.mpf(qn) / q
             else:
-                beta = mp.mpf(class_triplet_limit(alpha, j).beta)
+                beta = mp.mpf(alpha.limit_triplet(j).beta)
             x = mp.mpf(q) * qn / (4 * t_mp**2 * beta)
             n = int(mp.floor(x + mp.mpf(1) / 2))
             theta_frac, _ = angle_fraction(alpha, n)
             entries.append(
                 CenterEntry(j=j, n=n, q=q, q_next=qn, theta=float(2 * mp.pi * theta_frac))
             )
-    return CenterSequence(
-        t=t, entries=entries, beta_mode="finite_ratio" if finite_only else "class_limit"
-    )
+    return CenterSequence(t=t, entries=entries, beta_mode=beta_mode)
 
 
 # ---------------------------------------------------------------------------
 # empirical windows and the comparison pipeline
 # ---------------------------------------------------------------------------
 
-def empirical_limit_patch(alpha: AngleSpec, n_center: int, window: float) -> Patch:
-    """Recentered complete window T X cap B_W with T x = x - x_{n_center}."""
+def _limit_window(alpha: AngleSpec, n_center: int, window: float):
+    """The recentered window around x_{n_center} and its Patch."""
     if window < MIN_PATCH_WINDOW:
         raise InvalidSpec(f"window must be >= {MIN_PATCH_WINDOW}")
     win, offsets, errs = recentered_window(alpha, n_center, window)
-    return Patch(
+    return win, Patch(
         offsets,
         window,
         provenance=f"spiral {alpha.canonical()} n={n_center} W={window:g}",
         point_errors=errs,
     )
+
+
+def empirical_limit_patch(alpha: AngleSpec, n_center: int, window: float) -> Patch:
+    """Recentered complete window T X cap B_W with T x = x - x_{n_center}."""
+    return _limit_window(alpha, n_center, window)[1]
 
 
 @dataclass
@@ -196,6 +183,10 @@ class ComparisonRecord:
     shortest_expected: tuple
     shortest_gap: float | None
     fit_error: str | None = None
+    # what the record was measured on, for rendering; repr=False keeps it out of reports
+    window: IndexWindow | None = field(default=None, repr=False)
+    patch: Patch | None = field(default=None, repr=False)
+    balls: tuple = field(default=(), repr=False)
 
 
 @dataclass
@@ -210,9 +201,6 @@ class ComparisonReport:
     min_first: float
     min_last: float
 
-    def distances(self, form: str):
-        return [r.d_proof if form == PROOF_FORM else r.d_theorem for r in self.records]
-
 
 def empirical_vs_predicted(alpha: AngleSpec, t: float, j_range, window: float,
                            tol: float = DEFAULT_FIT_TOL, *,
@@ -221,18 +209,20 @@ def empirical_vs_predicted(alpha: AngleSpec, t: float, j_range, window: float,
 
     The prediction is rotated by the measured angle theta_j = 2 pi frac(alpha n_j);
     the report also fits a lattice to each window and compares its shortest
-    vector with x_{n_j + q_j} - x_{n_j}.
+    vector with x_{n_j + q_j} - x_{n_j}.  Each record keeps the window, patch
+    and lattice balls it was measured on.
     """
     centers = center_indices(alpha, t, j_range, use_finite_beta=use_finite_beta)
     records = []
     for entry in centers.entries:
-        beta, c, ct = _class_limits_for(alpha, entry.j)
-        patch = empirical_limit_patch(alpha, entry.n, window)
-        pin = PredictionInput(beta=beta, c=c, ctilde=ct, t=t, theta=entry.theta)
-        proof = predicted_basis(pin)
-        theorem = theorem_form_basis(pin)
-        d_proof = chabauty_distance(patch, lattice_ball(proof.basis, window))
-        d_theorem = chabauty_distance(patch, lattice_ball(theorem.basis, window))
+        lim = alpha.limit_triplet(entry.j)
+        win, patch = _limit_window(alpha, entry.n, window)
+        pin = PredictionInput(beta=float(lim.beta), c=float(lim.c), ctilde=float(lim.ctilde),
+                              t=t, theta=entry.theta)
+        balls = (lattice_ball(predicted_basis(pin).basis, window),
+                 lattice_ball(theorem_form_basis(pin).basis, window))
+        d_proof = chabauty_distance(patch, balls[0])
+        d_theorem = chabauty_distance(patch, balls[1])
         ex, ey, _ = offset_between(alpha, entry.n + entry.q, entry.n)
         rec = ComparisonRecord(
             j=entry.j,
@@ -247,6 +237,9 @@ def empirical_vs_predicted(alpha: AngleSpec, t: float, j_range, window: float,
             fitted_v1=None,
             shortest_expected=(ex, ey),
             shortest_gap=None,
+            window=win,
+            patch=patch,
+            balls=balls,
         )
         try:
             fit = fit_lattice(patch, tol)

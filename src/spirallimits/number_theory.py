@@ -2,10 +2,18 @@
 
 Angle specifications come in three flavours: exact rationals, exact quadratic
 irrationals (a + b*sqrt(d))/c, and decimal literals that carry an explicit
-uncertainty of half a unit in the last digit.  Quadratic expansions run on an
-exact integer recurrence so convergents never drift; every inexact evaluation
-goes through outward-rounded interval arithmetic (mpmath.iv) and reports a
-certified error bound.
+uncertainty of half a unit in the last digit.  Exact quantities such as
+q*alpha - p are Surds, (e + f*sqrt(d))/g with exact sign, floor and
+arithmetic (f = 0 for rationals); a literal's are SurdIntervals, pairs of
+Surds whose sign and floor raise PrecisionExhausted where the two ends
+disagree.  Every decision that depends on the kind of angle is a method or
+class attribute of its AngleSpec subclass.
+
+Quadratic expansions run on an exact integer recurrence so convergents never
+drift, and the triplet's limits along residue classes are closed forms in
+Q(sqrt d) read from the periodic complete quotients, so their error is
+rounding only.  Every inexact evaluation goes through outward-rounded
+interval arithmetic (mpmath.iv) and reports a certified error bound.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import functools
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import iv, mp
@@ -37,14 +45,146 @@ def _iv_prec(prec: int):
 
 
 # ---------------------------------------------------------------------------
+# exact arithmetic in Q(sqrt d)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Surd:
+    """The exact real (e + f*sqrt(d)) / g with g > 0.
+
+    A rational has f = 0 and d = 0 and is kept in lowest terms.  An
+    irrational (d >= 2 and not a square) keeps the integers it was built
+    from, so its interval always comes from the same operations.  Sums,
+    products and quotients take ints and Surds of one d (a rational's d = 0
+    takes the other operand's).
+    """
+
+    e: int
+    f: int = 0
+    g: int = 1
+    d: int = 0
+
+    def __post_init__(self):
+        if self.g > 0 and (self.f or (self.d == 0 and math.gcd(self.e, self.g) == 1)):
+            return  # already in normal form
+        e, f, g, d = self.e, self.f, self.g, self.d
+        if g == 0:
+            raise ZeroDivisionError("Surd with g = 0")
+        if g < 0:
+            e, f, g = -e, -f, -g
+        if f == 0:
+            h = math.gcd(e, g)
+            e, g, d = e // h, g // h, 0
+        for name, v in (("e", e), ("f", f), ("g", g), ("d", d)):
+            object.__setattr__(self, name, v)
+
+    def sign(self) -> int:
+        se, sf = (self.e > 0) - (self.e < 0), (self.f > 0) - (self.f < 0)
+        if se * sf >= 0:
+            return se or sf
+        # opposite signs: e^2 != f^2 d because sqrt(d) is irrational
+        return se if self.e * self.e > self.f * self.f * self.d else sf
+
+    def floor(self) -> int:
+        s = math.isqrt(self.f * self.f * self.d)  # floor(|f| sqrt(d)), never exact if f != 0
+        return (self.e + s if self.f >= 0 else self.e - s - 1) // self.g
+
+    def conj(self) -> "Surd":
+        return Surd(self.e, -self.f, self.g, self.d)
+
+    def interval(self, prec: int):
+        """Outward-rounded iv.mpf enclosure at ``prec`` bits."""
+        with _iv_prec(prec):
+            if self.f == 0:
+                return iv.mpf(self.e) / iv.mpf(self.g)
+            return (iv.mpf(self.e) + iv.mpf(self.f) * iv.sqrt(self.d)) / iv.mpf(self.g)
+
+    def __add__(self, other):
+        if not isinstance(other, Surd):  # an int
+            return Surd(self.e + other * self.g, self.f, self.g, self.d)
+        return Surd(self.e * other.g + other.e * self.g, self.f * other.g + other.f * self.g,
+                    self.g * other.g, self.d or other.d)
+
+    def __mul__(self, other):
+        if not isinstance(other, Surd):  # an int
+            return Surd(self.e * other, self.f * other, self.g, self.d)
+        d = self.d or other.d
+        return Surd(self.e * other.e + self.f * other.f * d, self.e * other.f + self.f * other.e,
+                    self.g * other.g, d)
+
+    def __truediv__(self, other):
+        o = other if isinstance(other, Surd) else Surd(other)
+        # 1/o = g (e - f sqrt d) / (e^2 - f^2 d)
+        return self * Surd(o.g * o.e, -o.g * o.f, o.e * o.e - o.f * o.f * o.d, o.d)
+
+    def __neg__(self):
+        return Surd(-self.e, -self.f, self.g, self.d)
+
+    def __sub__(self, other):
+        return self + -other
+
+
+@dataclass(frozen=True)
+class SurdInterval:
+    """A real known only to lie in [lo, hi]: a decimal literal's quantities.
+
+    Sums, integer multiples and integer shifts act on both ends; ``sign``
+    and ``floor`` raise PrecisionExhausted when the two ends disagree.
+    """
+
+    lo: Surd
+    hi: Surd
+
+    def sign(self) -> int:
+        s = self.lo.sign()
+        if s != self.hi.sign():
+            raise PrecisionExhausted("sign of interval quantity straddles zero")
+        return s
+
+    def floor(self) -> int:
+        a = self.lo.floor()
+        if a != self.hi.floor():
+            raise PrecisionExhausted("floor of interval quantity straddles an integer")
+        return a
+
+    def interval(self, prec: int):
+        with _iv_prec(prec):
+            return iv.mpf([self.lo.interval(prec).a, self.hi.interval(prec).b])
+
+    def __add__(self, other: "SurdInterval"):
+        return SurdInterval(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other: int):
+        return SurdInterval(self.lo - other, self.hi - other)
+
+    def __mul__(self, k: int):
+        ends = (self.lo * k, self.hi * k)
+        return SurdInterval(*(ends if k >= 0 else ends[::-1]))
+
+
+# ---------------------------------------------------------------------------
 # angle specifications
 # ---------------------------------------------------------------------------
 
 class AngleSpec:
-    """Base class for rotation-number descriptions."""
+    """Base class for rotation-number descriptions.
+
+    Everything that depends on the kind of angle is a method or a class
+    attribute of the subclasses; the rest of the package asks them.  Each
+    subclass has ``value`` (a Surd, or a SurdInterval for a literal) and
+    ``_cf_source()``, its partial-quotient stream with the detected period
+    (None unless the expansion is periodic).
+    """
+
+    precision = 0  # working-precision floor in bits; only a literal sets one
+    is_exact = True
+    rational = False
+    verdict = "unknown"  # badly_approx_profile's type-level verdict
+    beta_mode = "finite_ratio"  # how center_indices takes beta
 
     def enclosure(self, prec: int) -> "AngleEnclosure":
-        lo, hi = self._bounds(prec)
+        x = self.interval(prec)
+        lo, hi = mp.mpf(x.a), mp.mpf(x.b)
         width = hi - lo
         if width > mp.mpf(2) ** (-prec):
             raise PrecisionExhausted(
@@ -52,21 +192,36 @@ class AngleSpec:
             )
         return AngleEnclosure(lower=lo, upper=hi, width=width)
 
-    def _bounds(self, prec: int):
-        x = self.interval(prec)
-        return mp.mpf(x.a), mp.mpf(x.b)
-
     def interval(self, prec: int):
         """Certified enclosure of the angle as an iv.mpf at the given precision."""
-        with _iv_prec(prec):
-            return self._interval(prec)
+        return self.value.interval(prec)
+
+    def residue(self, p: int, q: int):
+        """q*alpha - p, exactly."""
+        return self.value * q - p
+
+    def frac(self, n: int):
+        """frac(alpha * n) = n*alpha - floor(n*alpha), exactly."""
+        x = self.residue(0, n)
+        try:
+            whole = x.floor()
+        except PrecisionExhausted:
+            raise PrecisionExhausted(
+                f"frac({self.canonical()} * {n}) straddles an integer; literal too coarse"
+            ) from None
+        return x - whole
+
+    def midpoint(self) -> tuple:
+        """An exact angle whose lattice stands in for this one, and the
+        half-width of the enclosure around it: (self, 0) for exact angles."""
+        return self, 0
+
+    def limit_triplet(self, j: int):
+        """The triplet a limit lattice at j is predicted from: here, the finite one."""
+        return triplet(self, j)
 
     def canonical(self) -> str:
         raise NotImplementedError
-
-    @property
-    def is_exact(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -75,6 +230,9 @@ class RationalAngle(AngleSpec):
 
     num: int
     den: int
+
+    rational = True
+    verdict = "not"
 
     def __post_init__(self):
         if self.den == 0:
@@ -86,11 +244,13 @@ class RationalAngle(AngleSpec):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
+    @functools.cached_property
+    def value(self) -> Surd:
+        return Surd(self.num, 0, self.den)
 
-    def _interval(self, prec: int):
-        return iv.mpf(self.num) / iv.mpf(self.den)
+    def _cf_source(self):
+        v = Fraction(self.num, self.den)
+        return _interval_quotients(v, v), None
 
     def canonical(self) -> str:
         return f"rat:{self.num}/{self.den}"
@@ -104,6 +264,9 @@ class QuadraticAngle(AngleSpec):
     b: int
     c: int
     d: int
+
+    verdict = "badly_approximable"
+    beta_mode = "class_limit"
 
     def __post_init__(self):
         a, b, c, d = self.a, self.b, self.c, self.d
@@ -122,8 +285,17 @@ class QuadraticAngle(AngleSpec):
         object.__setattr__(self, "b", b // g)
         object.__setattr__(self, "c", c // g)
 
-    def _interval(self, prec: int):
-        return (iv.mpf(self.a) + iv.mpf(self.b) * iv.sqrt(self.d)) / iv.mpf(self.c)
+    @functools.cached_property
+    def value(self) -> Surd:
+        return Surd(self.a, self.b, self.c, self.d)
+
+    def _cf_source(self):
+        exp = _quad_expansion(self)
+        return map(exp.quotient, itertools.count(1)), exp
+
+    def limit_triplet(self, j: int):
+        """The limit of the triplet along j's residue class."""
+        return class_triplet_limit(self, j)
 
     def canonical(self) -> str:
         return f"quad:{self.a},{self.b},{self.c},{self.d}"
@@ -141,6 +313,8 @@ class DecimalAngle(AngleSpec):
 
     digits: str
     precision: int = MIN_LITERAL_BITS
+
+    is_exact = False
 
     def __post_init__(self):
         if self.precision < MIN_LITERAL_BITS:
@@ -173,18 +347,19 @@ class DecimalAngle(AngleSpec):
         v, half = self.as_fraction(), self.ulp() / 2
         return v - half, v + half
 
-    def _interval(self, prec: int):
-        lo, hi = self.bounds_fraction()
-        a = iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
-        b = iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
-        return iv.mpf([a.a, b.b])
+    @functools.cached_property
+    def value(self) -> SurdInterval:
+        return SurdInterval(*(Surd(x.numerator, 0, x.denominator) for x in self.bounds_fraction()))
+
+    def midpoint(self) -> tuple:
+        v = self.as_fraction()
+        return RationalAngle(v.numerator, v.denominator), self.ulp() / 2
+
+    def _cf_source(self):
+        return _interval_quotients(*self.bounds_fraction()), None
 
     def canonical(self) -> str:
         return f"dec:{self.digits}@{self.precision}"
-
-    @property
-    def is_exact(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -233,96 +408,6 @@ def _is_squarefree(d: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact quadratic helpers: values (e + f*sqrt(d)) / g
-# ---------------------------------------------------------------------------
-
-def _quad_sign(e: int, f: int, d: int) -> int:
-    """Exact sign of e + f*sqrt(d)."""
-    if f == 0:
-        return (e > 0) - (e < 0)
-    if e == 0:
-        return 1 if f > 0 else -1
-    if e > 0 and f > 0:
-        return 1
-    if e < 0 and f < 0:
-        return -1
-    t = e * e - f * f * d
-    if e > 0:  # f < 0: positive iff e^2 > f^2 d
-        return (t > 0) - (t < 0)
-    return (t < 0) - (t > 0)
-
-
-def _quad_floor(e: int, f: int, g: int, d: int) -> int:
-    """Exact floor of (e + f*sqrt(d)) / g for g > 0 (sqrt(d) irrational)."""
-    if g <= 0:
-        raise ValueError("g must be positive")
-    if f == 0:
-        return e // g
-    s = math.isqrt(f * f * d)
-    a = e + s if f > 0 else e - s - 1
-    return a // g
-
-
-def _quad_to_iv(e: int, f: int, g: int, d: int):
-    return (iv.mpf(e) + iv.mpf(f) * iv.sqrt(d)) / iv.mpf(g)
-
-
-# exact residue representations; tag distinguishes the arithmetic domain
-def _residue_exact(alpha: AngleSpec, p: int, q: int):
-    """Exact representation of q*alpha - p."""
-    if isinstance(alpha, RationalAngle):
-        return ("frac", Fraction(q * alpha.num - p * alpha.den, alpha.den))
-    if isinstance(alpha, QuadraticAngle):
-        return ("quad", q * alpha.a - p * alpha.c, q * alpha.b, alpha.c, alpha.d)
-    lo, hi = alpha.bounds_fraction()
-    return ("ivl", q * lo - p, q * hi - p)
-
-
-def _scale(obj, k: int):
-    tag = obj[0]
-    if tag == "frac":
-        return ("frac", obj[1] * k)
-    if tag == "quad":
-        _, e, f, g, d = obj
-        return ("quad", e * k, f * k, g, d)
-    _, lo, hi = obj
-    return ("ivl", lo * k, hi * k) if k >= 0 else ("ivl", hi * k, lo * k)
-
-
-def _sign_of(obj) -> int:
-    tag = obj[0]
-    if tag == "frac":
-        v = obj[1]
-        return (v > 0) - (v < 0)
-    if tag == "quad":
-        _, e, f, g, d = obj
-        return _quad_sign(e, f, d)
-    _, lo, hi = obj
-    if lo > 0:
-        return 1
-    if hi < 0:
-        return -1
-    if lo == 0 and hi == 0:
-        return 0
-    raise PrecisionExhausted("sign of interval quantity straddles zero")
-
-
-def _iv_of(obj, prec: int):
-    with _iv_prec(prec):
-        tag = obj[0]
-        if tag == "frac":
-            v = obj[1]
-            return iv.mpf(v.numerator) / iv.mpf(v.denominator)
-        if tag == "quad":
-            _, e, f, g, d = obj
-            return _quad_to_iv(e, f, g, d)
-        _, lo, hi = obj
-        a = iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
-        b = iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
-        return iv.mpf([a.a, b.b])
-
-
-# ---------------------------------------------------------------------------
 # continued fraction expansion
 # ---------------------------------------------------------------------------
 
@@ -337,18 +422,25 @@ class Convergent:
 
 @dataclass
 class QuadExpansion:
-    """Eventually periodic expansion of a quadratic irrational."""
+    """Eventually periodic expansion of a quadratic irrational.
+
+    ``complete`` holds the complete quotients alpha_1 = alpha, alpha_2, ...
+    as Surds, one per listed quotient (a_j = floor(alpha_j)).
+    """
 
     quotients: list
     preperiod: int
     period: int
+    complete: list = field(default_factory=list, repr=False, compare=False)
+
+    def index(self, j: int) -> int:
+        """List position of the 1-based index j at any depth, via periodicity."""
+        return j - 1 if j <= len(self.quotients) else (
+            self.preperiod + (j - 1 - self.preperiod) % self.period)
 
     def quotient(self, j: int) -> int:
-        """Partial quotient a_j (1-based) at any depth via periodicity."""
-        if j <= len(self.quotients):
-            return self.quotients[j - 1]
-        k = (j - 1 - self.preperiod) % self.period
-        return self.quotients[self.preperiod + k]
+        """Partial quotient a_j (1-based) at any depth."""
+        return self.quotients[self.index(j)]
 
 
 def _quad_cf_state(alpha: QuadraticAngle):
@@ -364,18 +456,19 @@ def _quad_cf_state(alpha: QuadraticAngle):
 
 
 def _quad_expansion(alpha: QuadraticAngle) -> QuadExpansion:
-    """Quotients up to the first repeated state (P, Q): the preperiod and one period."""
+    """Complete quotients (P + sqrt(D))/Q up to the first repeated state (P, Q):
+    the preperiod and one period."""
     P, D, Q = _quad_cf_state(alpha)
-    quotients = []
-    seen = {}
+    r = math.isqrt(D // alpha.d)  # sqrt(D) = r sqrt(d)
+    quotients, complete, seen = [], [], {}
     while (P, Q) not in seen:
         seen[(P, Q)] = len(quotients)
-        a = _quad_floor(P, 1, Q, D) if Q > 0 else _quad_floor(-P, -1, -Q, D)
-        quotients.append(a)
-        P = a * Q - P
+        complete.append(Surd(P, r, Q, alpha.d))
+        quotients.append(complete[-1].floor())
+        P = quotients[-1] * Q - P
         Q = (D - P * P) // Q
     preperiod = seen[(P, Q)]
-    return QuadExpansion(quotients, preperiod, len(quotients) - preperiod)
+    return QuadExpansion(quotients, preperiod, len(quotients) - preperiod, complete)
 
 
 def _interval_quotients(lo: Fraction, hi: Fraction):
@@ -403,14 +496,9 @@ class _Expansion:
     """
 
     def __init__(self, alpha: AngleSpec):
-        self.period = _quad_expansion(alpha) if isinstance(alpha, QuadraticAngle) else None
-        if self.period is not None:
-            self._stream = map(self.period.quotient, itertools.count(1))
-        elif isinstance(alpha, DecimalAngle):
-            self._stream = _interval_quotients(*alpha.bounds_fraction())
-        else:
-            self._stream = _interval_quotients(alpha.as_fraction(), alpha.as_fraction())
+        self._stream, self.period = alpha._cf_source()
         self.quotients, self.convergents = [], []
+        self.limits = {}  # residue class -> TripletLimit, for periodic expansions
         self._last = ((0, 1), (1, 0))  # (p, q) at j - 1 and j, starting from j = 0
         self._failure = None
 
@@ -459,10 +547,10 @@ def expand_cf(alpha: AngleSpec, count: int) -> list:
 
 def cf_period(alpha: QuadraticAngle) -> QuadExpansion:
     """Expansion with detected preperiod/period for a quadratic irrational."""
-    if not isinstance(alpha, QuadraticAngle):
-        raise InvalidSpec("periodicity is only defined for quadratic irrationals")
     exp = _expansion(alpha).period
-    return QuadExpansion(list(exp.quotients), exp.preperiod, exp.period)
+    if exp is None:
+        raise InvalidSpec("periodicity is only defined for quadratic irrationals")
+    return QuadExpansion(list(exp.quotients), exp.preperiod, exp.period, list(exp.complete))
 
 
 def convergents(alpha: AngleSpec, count: int) -> list:
@@ -504,12 +592,14 @@ class TripletSample:
 
 def _triplet_prec(alpha: AngleSpec, q_next: int, prec: int | None) -> int:
     # the 2*bits(q)+64 floor leaves no room for outward-rounding ulps; pad
-    need = 2 * q_next.bit_length() + 96
-    if prec is not None:
-        need = max(need, prec)
-    if isinstance(alpha, DecimalAngle):
-        need = max(need, alpha.precision)
-    return need
+    return max(2 * q_next.bit_length() + 96, prec or 0, alpha.precision)
+
+
+def _midpoints(ivs, prec: int):
+    """Midpoints (mpf at prec + 16 bits) of interval enclosures and the largest half-width."""
+    err = max(float(mp.mpf(x.delta) / 2) for x in ivs)
+    with mp.workprec(prec + 16):
+        return [(mp.mpf(x.a) + mp.mpf(x.b)) / 2 for x in ivs], err
 
 
 def triplet(alpha: AngleSpec, j: int, prec: int | None = None) -> TripletSample:
@@ -519,23 +609,16 @@ def triplet(alpha: AngleSpec, j: int, prec: int | None = None) -> TripletSample:
         raise InvalidSpec(f"expansion of {alpha.canonical()} ends before j={j + 1}")
     cj, cj1 = convs[j - 1], convs[j]
     working = _triplet_prec(alpha, cj1.q, prec)
-    r_j = _residue_exact(alpha, cj.p, cj.q)
-    r_j1 = _residue_exact(alpha, cj1.p, cj1.q)
-    c_iv = _iv_of(_scale(r_j, cj.q), working)
-    ct_iv = _iv_of(_scale(r_j1, cj1.q), working)
-    with _iv_prec(working):
-        beta_iv = iv.mpf(cj1.q) / iv.mpf(cj.q)
-    err = max(float(mp.mpf(x.delta) / 2) for x in (beta_iv, c_iv, ct_iv))
+    c = alpha.residue(cj.p, cj.q) * cj.q
+    ct = alpha.residue(cj1.p, cj1.q) * cj1.q
+    (beta_m, c_m, ct_m), err = _midpoints(
+        [x.interval(working) for x in (Surd(cj1.q, 0, cj.q), c, ct)], working)
     if err > 2.0**-64:
         raise PrecisionExhausted(
             f"triplet at j={j} certified only to {err:.3e} (> 2^-64)"
         )
-    if _sign_of(_scale(r_j, cj.q)) * _sign_of(_scale(r_j1, cj1.q)) >= 0:
+    if c.sign() * ct.sign() >= 0:
         raise InvalidSpec("sign alternation violated; malformed expansion")
-    with mp.workprec(working + 16):
-        beta_m = (mp.mpf(beta_iv.a) + mp.mpf(beta_iv.b)) / 2
-        c_m = (mp.mpf(c_iv.a) + mp.mpf(c_iv.b)) / 2
-        ct_m = (mp.mpf(ct_iv.a) + mp.mpf(ct_iv.b)) / 2
     return TripletSample(j=j, beta=beta_m, c=c_m, ctilde=ct_m, err=err)
 
 
@@ -558,8 +641,9 @@ class IdentityReport:
 def verify_cf_identities(alpha: AngleSpec, j_range) -> IdentityReport:
     """Check q_j|q_{j+1}a - p_{j+1}| + q_{j+1}|q_j a - p_j| = 1 and sign alternation.
 
-    Exact specs verify the identity in exact arithmetic (residual exactly 0);
-    decimal literals get an interval bound which must stay below 2^-80.
+    The residual is computed exactly; exact specs get exactly 0, decimal
+    literals an interval bound from the literal's two ends, which must stay
+    below 2^-80.
     """
     js = list(j_range)
     if not js:
@@ -570,39 +654,17 @@ def verify_cf_identities(alpha: AngleSpec, j_range) -> IdentityReport:
     records = []
     for j in js:
         cj, cj1 = convs[j - 1], convs[j]
-        r_j = _residue_exact(alpha, cj.p, cj.q)
-        r_j1 = _residue_exact(alpha, cj1.p, cj1.q)
-        s_j, s_j1 = _sign_of(r_j), _sign_of(r_j1)
-        neg = s_j * s_j1 < 0
-        if isinstance(alpha, RationalAngle):
-            total = cj.q * abs(r_j1[1]) + cj1.q * abs(r_j[1])
-            res = abs(total - 1)
-            records.append(IdentityRecord(j, float(res), float(res), neg, True))
-        elif isinstance(alpha, QuadraticAngle):
-            # q_j*s1*r_{j+1} + q_{j+1}*s0*r_j - 1 over the common denominator c
-            _, e1, f1, g, d = r_j
-            _, e2, f2, _, _ = r_j1
-            num_e = cj.q * s_j1 * e2 + cj1.q * s_j * e1 - g
-            num_f = cj.q * s_j1 * f2 + cj1.q * s_j * f1
-            if num_e == 0 and num_f == 0:
-                records.append(IdentityRecord(j, 0.0, 0.0, neg, True))
-            else:
-                v = _quad_to_iv(num_e, num_f, g, d)
-                bound = float(max(abs(mp.mpf(v.a)), abs(mp.mpf(v.b))))
-                records.append(IdentityRecord(j, bound, bound, neg, True))
-        else:
-            working = max(alpha.precision, 2 * cj1.q.bit_length() + 96)
-            t1 = _iv_of(_scale(r_j1, cj.q * s_j1), working)
-            t2 = _iv_of(_scale(r_j, cj1.q * s_j), working)
-            with _iv_prec(working):
-                total = t1 + t2 - iv.mpf(1)
-            bound = float(max(abs(mp.mpf(total.a)), abs(mp.mpf(total.b))))
-            mid = float((mp.mpf(total.a) + mp.mpf(total.b)) / 2)
-            if bound >= 2.0**-80:
-                raise PrecisionExhausted(
-                    f"identity residual at j={j} certified only to {bound:.3e}"
-                )
-            records.append(IdentityRecord(j, abs(mid), bound, neg, False))
+        r_j, r_j1 = alpha.residue(cj.p, cj.q), alpha.residue(cj1.p, cj1.q)
+        s_j, s_j1 = r_j.sign(), r_j1.sign()
+        total = r_j1 * (cj.q * s_j1) + r_j * (cj1.q * s_j) - 1
+        v = total.interval(_triplet_prec(alpha, cj1.q, None))
+        bound = float(max(abs(mp.mpf(v.a)), abs(mp.mpf(v.b))))
+        if not alpha.is_exact and bound >= 2.0**-80:
+            raise PrecisionExhausted(
+                f"identity residual at j={j} certified only to {bound:.3e}"
+            )
+        mid = abs(float((mp.mpf(v.a) + mp.mpf(v.b)) / 2))
+        records.append(IdentityRecord(j, mid, bound, s_j * s_j1 < 0, alpha.is_exact))
     certified = all(r.residual_bound < 2.0**-80 and r.sign_product_negative for r in records)
     return IdentityReport(
         records=records,
@@ -637,23 +699,16 @@ def badly_approx_profile(alpha: AngleSpec, horizon: int) -> BadApproxProfile:
     for cv in convs:
         if cv.j < tail_start and cv.j < len(convs):
             continue
-        r = _scale(_residue_exact(alpha, cv.p, cv.q), cv.q)
-        s = _sign_of(r) if not (r[0] == "frac" and r[1] == 0) else 0
+        r = alpha.residue(cv.p, cv.q) * cv.q
+        s = r.sign()
         if s == 0:
             continue  # exact final convergent of a rational
-        v = _iv_of(_scale(r, s), 128)
-        val = float(mp.mpf(v.a))
+        val = float(mp.mpf((r * s).interval(128).a))
         lower = val if lower is None else min(lower, val)
-    if isinstance(alpha, RationalAngle):
-        verdict = "not"
-    elif isinstance(alpha, QuadraticAngle):
-        verdict = "badly_approximable"
-    else:
-        verdict = "unknown"
     return BadApproxProfile(
         c_alpha_lower=0.0 if lower is None else lower,
         max_partial_quotient=max(quots[1:], default=quots[0]) if len(quots) > 1 else quots[0],
-        verdict=verdict,
+        verdict=alpha.verdict,
         horizon=horizon,
     )
 
@@ -676,13 +731,17 @@ def convergent_determinant(alpha: AngleSpec, j: int) -> int:
 # subsequence (residue-class) triplet limits
 # ---------------------------------------------------------------------------
 
+_LIMIT_PREC = 320  # bits of the exported class limits
+
+
 @dataclass(frozen=True)
 class TripletLimit:
     """Limit of the triplet along j in a fixed residue class.
 
     ``modulus`` is lcm(period, 2): the quotient pattern repeats with the CF
     period while the sign of c alternates with parity, so subsequential limits
-    are indexed by j mod lcm(period, 2).
+    are indexed by j mod lcm(period, 2).  ``exact`` holds (beta, c, c~) as
+    Surds; the mpf fields are their values to within ``err`` (rounding only).
     """
 
     class_index: int
@@ -691,44 +750,37 @@ class TripletLimit:
     c: object
     ctilde: object
     err: float
+    exact: tuple = field(repr=False)
 
 
 def class_modulus(alpha: QuadraticAngle) -> int:
     return math.lcm(cf_period(alpha).period, 2)
 
 
-def class_triplet_limit(alpha: QuadraticAngle, j: int, depth: int = 160) -> TripletLimit:
-    """Triplet limit along the residue class of j, to far-below-tolerance error.
+def class_triplet_limit(alpha: QuadraticAngle, j: int) -> TripletLimit:
+    """Exact triplet limit along the residue class of j, in closed form.
 
-    Evaluated at a deep index in the same class; the drift from the true limit
-    decays like 1/q_J^2, which at the default depth is vastly below any
-    tolerance used downstream.  The reported ``err`` adds a measured
-    depth-to-depth drift on top of the evaluation bound.  The evaluation index
-    depends only on the class and the depth; each is evaluated once per process.
+    At every j, q_{j+1}/q_j = a_{j+1} + q_{j-1}/q_j and
+    q_j(q_j alpha - p_j) = (-1)^{j+1} / (alpha_{j+1} + q_{j-1}/q_j), where
+    alpha_{j+1} is the complete quotient.  Take J = j (mod lcm(period, 2))
+    past the preperiod, so alpha_{J+1} is purely periodic; by Galois's
+    theorem q_{j-1}/q_j then tends to -conj(alpha_{J+1}) along the class.
+    Hence beta = a_{J+1} - conj(alpha_{J+1}),
+    c = (-1)^{J+1} / (alpha_{J+1} - conj(alpha_{J+1})), and c~ is c at J + 1.
+    Each class is computed once per angle and kept on its expansion table.
     """
-    if not isinstance(alpha, QuadraticAngle):
+    table = _expansion(alpha)
+    exp = table.period
+    if exp is None:
         raise InvalidSpec("triplet limits need a quadratic irrational angle")
-    exp = _expansion(alpha).period
     modulus = math.lcm(exp.period, 2)
-    big = max(depth, exp.preperiod + 4 * modulus + 8)
-    big += (j - big) % modulus  # big = j (mod modulus), big >= depth
-    return _class_limit_at(alpha, big, modulus)
-
-
-@functools.lru_cache(maxsize=1024)  # class limits kept per process
-def _class_limit_at(alpha: QuadraticAngle, big: int, modulus: int) -> TripletLimit:
-    t1 = triplet(alpha, big)
-    t2 = triplet(alpha, big + 2 * modulus)
-    drift = max(
-        abs(float(t1.beta - t2.beta)),
-        abs(float(t1.c - t2.c)),
-        abs(float(t1.ctilde - t2.ctilde)),
-    )
-    return TripletLimit(
-        class_index=big % modulus,
-        modulus=modulus,
-        beta=t2.beta,
-        c=t2.c,
-        ctilde=t2.ctilde,
-        err=t2.err + 2.0 * drift,
-    )
+    k = j % modulus
+    if k not in table.limits:
+        big = exp.preperiod + (k - exp.preperiod) % modulus
+        x, y = (exp.complete[exp.index(i)] for i in (big + 1, big + 2))
+        sign = (-1) ** (big + 1)
+        exact = (-x.conj() + x.floor(), Surd(sign) / (x - x.conj()),
+                 Surd(-sign) / (y - y.conj()))
+        (beta, c, ct), err = _midpoints([v.interval(_LIMIT_PREC) for v in exact], _LIMIT_PREC)
+        table.limits[k] = TripletLimit(k, modulus, beta, c, ct, err, exact)
+    return table.limits[k]

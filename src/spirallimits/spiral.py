@@ -28,45 +28,13 @@ from mpmath import iv, mp
 
 from .errors import InvalidSpec, PrecisionExhausted, WindowTooLarge
 from .lattice2d import Basis2, gauss_reduce
-from .number_theory import (
-    AngleSpec,
-    DecimalAngle,
-    QuadraticAngle,
-    RationalAngle,
-    _expansion,
-    _iv_of,
-    _iv_prec,
-    _quad_floor,
-    largest_denominator_at_most,
-)
+from .number_theory import AngleSpec, _expansion, _iv_prec, _midpoints, largest_denominator_at_most
 
 PREC_PAD = 96  # default evaluation bits beyond bits(n)
 _FILTER_SLACK = 1e-6  # box margin past the radius; ball candidates are certified later
 _MAX_WINDOW_POINTS = 4_000_000  # output budget: enumerated lattice points or ball indices
 _U = 2.0**-53  # unit roundoff of float64
 _LIBM_ULPS = 8  # allowed error of numpy sin and cos, checked by the differential test
-
-
-# ---------------------------------------------------------------------------
-# exact fractional parts of alpha * n
-# ---------------------------------------------------------------------------
-
-def _frac_exact(alpha: AngleSpec, n: int):
-    """Tagged exact representation of frac(alpha * n) in [0, 1)."""
-    if isinstance(alpha, RationalAngle):
-        return ("frac", Fraction((alpha.num * n) % alpha.den, alpha.den))
-    if isinstance(alpha, QuadraticAngle):
-        e, f, g = alpha.a * n, alpha.b * n, alpha.c
-        fl = _quad_floor(e, f, g, alpha.d)
-        return ("quad", e - fl * g, f, g, alpha.d)
-    lo, hi = alpha.bounds_fraction()
-    lo, hi = lo * n, hi * n
-    flo, fhi = math.floor(lo), math.floor(hi)
-    if flo != fhi:
-        raise PrecisionExhausted(
-            f"frac({alpha.canonical()} * {n}) straddles an integer; literal too coarse"
-        )
-    return ("ivl", lo - flo, hi - flo)
 
 
 def default_prec(n: int) -> int:
@@ -82,12 +50,10 @@ def angle_fraction(alpha: AngleSpec, n: int, prec: int | None = None):
     if n < 0:
         raise InvalidSpec("index must be nonnegative")
     working = prec if prec is not None else default_prec(n)
-    x = _iv_of(_frac_exact(alpha, n), working)
-    err = float(mp.mpf(x.delta) / 2)
+    (val,), err = _midpoints([alpha.frac(n).interval(working)], working)
     if err > 2.0**-64:
         raise PrecisionExhausted(f"frac(alpha*{n}) certified only to {err:.3e}")
     with mp.workprec(working + 16):
-        val = (mp.mpf(x.a) + mp.mpf(x.b)) / 2
         if val >= 1:
             val -= 1
         if val < 0:
@@ -117,7 +83,7 @@ def _position_iv(alpha: AngleSpec, n: int, prec: int):
     """Interval x_n = (x, y) at working precision ``prec``, and the enclosures
     (theta, cos, sin) of frac(alpha * n) and of its angle's cosine and sine."""
     with _iv_prec(prec):
-        theta = _iv_of(_frac_exact(alpha, n), prec)
+        theta = alpha.frac(n).interval(prec)
         ang = 2 * iv.pi * theta
         r = iv.sqrt(iv.mpf(n))
         cos, sin = iv.cos(ang), iv.sin(ang)
@@ -183,13 +149,10 @@ def _lattice_box(alpha: AngleSpec, k_max: int, half_turns: float, delta0: float)
     literal walks the lattice of its midpoint, with the box widened by its
     half-ulp times k_max; the error bound carries the same width.
     """
-    literal = 0.0
-    if isinstance(alpha, DecimalAngle):
-        v = alpha.as_fraction()
-        # rounded up past the float conversion of the exact half-ulp product
-        literal = float(k_max * alpha.ulp() / 2) * (1 + 4 * _U)
-        half_turns += literal
-        alpha = RationalAngle(v.numerator, v.denominator)
+    alpha, half_width = alpha.midpoint()
+    # rounded up past the float conversion of the exact half-ulp product
+    literal = float(k_max * half_width) * (1 + 4 * _U)
+    half_turns += literal
     (pa, qa), (pb, qb) = _convergent_pair(alpha, k_max)
     # q*alpha - p cancels about bits(q) bits; evaluate alpha well past that
     prec = 2 * max(qa, qb, abs(pa), abs(pb), 2).bit_length() + 96
@@ -443,7 +406,9 @@ def nearest_neighbor(alpha: AngleSpec, n: int, *, n_min: int = 1):
     Returns (m, distance) minimizing |x_m - x_n| over m != n, m >= n_min;
     ties break toward smaller m.  The query radius is the distance to
     x_{n-q} for the largest convergent denominator q <= sqrt(n), an upper
-    bound that keeps every possible competitor.
+    bound that keeps every possible competitor.  Raises PrecisionExhausted
+    when the window's error bound exceeds 1e-9 (a decimal literal too coarse
+    for n).
     """
     if n < max(2, n_min + 1):
         raise InvalidSpec("need an index with at least one smaller-index competitor")
@@ -453,7 +418,13 @@ def nearest_neighbor(alpha: AngleSpec, n: int, *, n_min: int = 1):
     p0 = spiral_point(alpha, n)
     p1 = spiral_point(alpha, n - q)
     r0 = math.hypot(p0.x - p1.x, p0.y - p1.y) * (1 + 1e-12) + 1e-9
-    ms, _, _, dist, _ = _candidates(alpha, n, r0, n_min)
+    ms, _, _, dist, err = _candidates(alpha, n, r0, n_min)
+    # float distances within err of the truth keep every competitor of the
+    # winner inside the 2e-9 tie band below; a coarse literal's err does not
+    if err > 1e-9:
+        raise PrecisionExhausted(
+            f"nearest neighbour of n={n}: distances certified only to {err:.3g} (> 1e-9)"
+        )
     dist[ms == n] = np.inf
     best = int(np.argmin(dist))
     best_d = float(dist[best])

@@ -6,23 +6,41 @@ recurrences the package used before it kept one table per angle: a
 rational's Euclidean algorithm, a quadratic's integer (P, Q) recurrence run
 past its first repeated state, and a literal's interval expansion that
 raises PrecisionExhausted at the first quotient the literal cannot certify.
-Nothing is cached, so interleaved requests cannot see each other.
+Class limits are the triplet evaluated in interval arithmetic at a deep
+index of the class, with the depth-to-depth drift added to the error.
+Nothing is cached, so interleaved requests cannot see each other, and the
+oracle takes no arithmetic from the package it checks.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
+
+from mpmath import iv, mp
 
 from spirallimits.errors import InvalidSpec, PrecisionExhausted
-from spirallimits.number_theory import (
-    Convergent,
-    QuadraticAngle,
-    RationalAngle,
-    TripletLimit,
-    _quad_cf_state,
-    _quad_floor,
-    triplet,
-)
+from spirallimits.number_theory import Convergent, QuadraticAngle, RationalAngle
+
+
+def _quad_cf_state(alpha: QuadraticAngle):
+    """Initial (P, D, Q) with Q | D - P^2 so the integer recurrence is exact."""
+    a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
+    if b > 0:
+        P, Q, D = a, c, b * b * d
+    else:
+        P, Q, D = -a, -c, b * b * d
+    if (D - P * P) % Q != 0:
+        P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+    return P, D, Q
+
+
+def _quad_floor(e: int, f: int, g: int, d: int) -> int:
+    """Exact floor of (e + f*sqrt(d)) / g for g > 0 (sqrt(d) irrational)."""
+    if f == 0:
+        return e // g
+    s = math.isqrt(f * f * d)
+    return (e + s if f > 0 else e - s - 1) // g
 
 
 def _expand_rational(num: int, den: int) -> list:
@@ -126,20 +144,38 @@ def largest_denominator_at_most(alpha, n: int) -> Convergent:
     return max((c for c in convergents_past(alpha, n) if c.q <= n), key=lambda c: c.j)
 
 
-def class_triplet_limit(alpha: QuadraticAngle, j: int, depth: int = 160) -> TripletLimit:
-    """The class limit evaluated afresh at its deep index."""
+class OracleLimit(NamedTuple):
+    class_index: int
+    modulus: int
+    beta: object
+    c: object
+    ctilde: object
+    err: float
+
+
+def triplet(alpha: QuadraticAngle, j: int):
+    """(q_{j+1}/q_j, q_j(q_j a - p_j), q_{j+1}(q_{j+1} a - p_{j+1})) as mpf
+    midpoints of interval enclosures, and the largest half-width."""
+    cj, cj1 = convergents(alpha, j + 1)[j - 1:]
+    old = iv.prec
+    iv.prec = 2 * cj1.q.bit_length() + 96
+    try:
+        a = (iv.mpf(alpha.a) + iv.mpf(alpha.b) * iv.sqrt(alpha.d)) / iv.mpf(alpha.c)
+        ivs = (iv.mpf(cj1.q) / cj.q, cj.q * (cj.q * a - cj.p), cj1.q * (cj1.q * a - cj1.p))
+        with mp.workprec(iv.prec + 16):
+            mids = [(mp.mpf(x.a) + mp.mpf(x.b)) / 2 for x in ivs]
+        return mids, max(float(mp.mpf(x.delta) / 2) for x in ivs)
+    finally:
+        iv.prec = old
+
+
+def class_triplet_limit(alpha: QuadraticAngle, j: int, depth: int = 160) -> OracleLimit:
+    """The class limit evaluated afresh at a deep index of j's class."""
     _, preperiod, period = quad_expansion(alpha, 1)
     modulus = math.lcm(period, 2)
     big = max(depth, preperiod + 4 * modulus + 8)
     big += (j - big) % modulus
-    t1 = triplet(alpha, big)
-    t2 = triplet(alpha, big + 2 * modulus)
-    drift = max(
-        abs(float(t1.beta - t2.beta)),
-        abs(float(t1.c - t2.c)),
-        abs(float(t1.ctilde - t2.ctilde)),
-    )
-    return TripletLimit(
-        class_index=j % modulus, modulus=modulus, beta=t2.beta, c=t2.c,
-        ctilde=t2.ctilde, err=t2.err + 2.0 * drift,
-    )
+    t1, _ = triplet(alpha, big)
+    t2, err = triplet(alpha, big + 2 * modulus)
+    drift = max(abs(float(x - y)) for x, y in zip(t1, t2))
+    return OracleLimit(j % modulus, modulus, *t2, err + 2.0 * drift)

@@ -1,5 +1,5 @@
-"""Per-angle expansion tables and memoized class limits against the
-from-scratch oracle in cf_oracle.py."""
+"""Per-angle expansion tables and the closed-form class limits kept on them,
+against the from-scratch oracle in cf_oracle.py."""
 
 import cf_oracle
 import pytest
@@ -18,7 +18,7 @@ from spirallimits import (
     parse_angle,
 )
 from spirallimits import number_theory, spiral
-from spirallimits.number_theory import cf_period
+from spirallimits.number_theory import Surd, cf_period
 
 SQRT3 = QuadraticAngle(0, 1, 1, 3)
 # a rational whose expansion ends, quadratics with and without a preperiod,
@@ -119,17 +119,25 @@ def test_coarse_literal_reaches_every_certified_convergent():
 
 
 @pytest.mark.parametrize("alpha", [GOLDEN, QuadraticAngle(0, 1, 1, 2), SQRT3,
-                                   QuadraticAngle(3, -2, 7, 6)])
+                                   QuadraticAngle(3, -2, 7, 6), QuadraticAngle(5, -3, 7, 11)])
 @pytest.mark.parametrize("depth", [20, 160])
 def test_memoized_class_limit_equals_a_fresh_evaluation(alpha, depth):
-    number_theory._class_limit_at.cache_clear()
+    """The closed-form class limit, kept on the expansion table, against the
+    oracle's triplet at a deep index of the class (depth is the oracle's):
+    within the oracle's error at both depths, float-identical at 160, and
+    c~/beta - beta c = +-1 exactly in Q(sqrt d)."""
+    number_theory._expansion.cache_clear()
     modulus = number_theory.class_modulus(alpha)
     for j in range(1, modulus + 1):
-        first = class_triplet_limit(alpha, j, depth)
-        again = class_triplet_limit(alpha, j + modulus, depth)
-        fresh = cf_oracle.class_triplet_limit(alpha, j + modulus, depth)
-        assert again is first
-        assert (repr(first.beta), repr(first.c), repr(first.ctilde), first.err,
-                first.class_index, first.modulus) == (
-            repr(fresh.beta), repr(fresh.c), repr(fresh.ctilde), fresh.err,
-            fresh.class_index, fresh.modulus)
+        lim = class_triplet_limit(alpha, j)
+        assert class_triplet_limit(alpha, j + modulus) is lim
+        fresh = cf_oracle.class_triplet_limit(alpha, j, depth)
+        assert (lim.class_index, lim.modulus) == (fresh.class_index, fresh.modulus)
+        assert lim.err <= 2.0**-250
+        for got, want in zip((lim.beta, lim.c, lim.ctilde), fresh[2:5]):
+            assert abs(got - want) <= fresh.err + lim.err
+            if depth == 160:
+                assert float(got) == float(want)
+        beta, c, ctilde = lim.exact
+        one = ctilde / beta - beta * c
+        assert one == Surd(1) or one == Surd(-1)

@@ -315,3 +315,26 @@ def test_svg_determinism():
     assert render_svg(4.0, point_layers=[("p", pts)]) == render_svg(
         4.0, point_layers=[("p", pts)]
     )
+
+
+def test_empirical_serializes_the_library_windows(tmp_path, monkeypatch):
+    """`empirical` writes the windows and lattice balls the library measured:
+    one recentered_window call per j, at the record's center, and none of
+    those in-memory objects in report.json."""
+    from spirallimits import cli, limits, spiral
+
+    calls = []
+    original = spiral.recentered_window
+
+    def counted(alpha, n, *args, **kwargs):
+        calls.append(n)
+        return original(alpha, n, *args, **kwargs)
+
+    for module in (spiral, limits, cli):
+        monkeypatch.setattr(module, "recentered_window", counted)
+    out = tmp_path / "emp"
+    assert run(["empirical", "--alpha", "quad:1,1,2,5", "--t", 1, "--j", "17:19",
+                "--window", 8, "--out", out]) == 0
+    records = read_json(out / "report.json")["records"]
+    assert calls == [r["n"] for r in records] and len(calls) == 3
+    assert not {"window", "patch", "balls"} & set(records[0])

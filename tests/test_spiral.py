@@ -373,3 +373,18 @@ def test_nn_offset_samples_are_denominators():
         for n in rng.integers(1000, 100000, 20):
             m, _ = nearest_neighbor(alpha, int(n))
             assert abs(int(n) - m) in qs
+
+
+def test_coarse_literal_nearest_neighbor_raises():
+    """A 16-digit literal's window error bound is about 2e-3 at 10^12 and 0.2
+    at 10^14 + 7, where its midpoint alone gave a wrong distance (1.62698
+    against golden's 1.67688); it raises there naming n.  40 digits give the
+    golden angle's neighbour and distance."""
+    lit = parse_angle(COARSE)
+    for n in (10**12, 10**14 + 7):
+        with pytest.raises(PrecisionExhausted, match=f"n={n}"):
+            nearest_neighbor(lit, n)
+    n = 10**14 + 7
+    m, dist = nearest_neighbor(parse_angle(DEC40), n)
+    m_golden, dist_golden = nearest_neighbor(GOLDEN, n)
+    assert m == m_golden and abs(dist - dist_golden) <= 1e-9
