@@ -2,11 +2,19 @@
 
 A Patch is a complete window: it contains every point of the underlying set
 inside the closed ball B_W(0).  Delta(A, B) is the infimum over eps of the
-two-sided condition  B_{1/eps}(0) cap A  subset  N_eps(B)  (and symmetric),
-located by binary search on that monotone predicate.  Values below the
-window-certification threshold (1/eps + eps <= min W) are still reported --
-they are exact for the patches as finite sets -- but flagged uncertified for
-the underlying infinite sets.
+two-sided condition that every point a of A with |a| <= 1/eps and
+|a| + eps <= W_B lies within eps of B (and symmetrically).  The second bound
+keeps every eps-partner of a constrained point inside the other complete
+window, so a point at the rim is not held against a partner just outside it.
+
+A point p stops constraining eps once eps > min(1/|p|, W_other - |p|) and is
+satisfied once eps >= nn(p), its distance to the other patch, so its feasible
+eps form an up-ray from min(nn(p), 1/|p|, W_other - |p|).  Delta is the
+largest of these starts (0 when there are none): one nearest-neighbour query
+per side.  Point errors widen the result to a bracket on Delta of the exact
+sets.  Values below the window-certification threshold (1/eps + eps <= min W)
+are still reported -- they are exact for the patches -- but flagged
+uncertified for the underlying infinite sets.
 """
 
 from __future__ import annotations
@@ -17,9 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, SpiralLimitsError, WindowTooSmall
-
-BRACKET_TOL = 1e-9
-
 
 def kd_tree(points: np.ndarray):
     """k-d tree over ``points`` for nearest-neighbour queries.
@@ -42,12 +47,13 @@ class Patch:
     """Complete finite window of a closed set inside B_W(0).
 
     Construction checks that the radius is positive (not NaN), that every
-    coordinate is finite, that every point lies within W (plus 1e-9), and
-    that the points are pairwise distinct as rows compared exactly, so
-    -0.0 equals 0.0 and points one ulp apart are distinct.  Distinctness is
-    checked by sorting the rows and comparing neighbours.  Completeness is
-    the caller's contract; windows built by the spiral and lattice
-    enumerators satisfy it by construction.
+    coordinate is finite, that every point lies within W (plus 1e-9), that
+    the points are pairwise distinct as rows compared exactly, so -0.0
+    equals 0.0 and points one ulp apart are distinct, and that
+    ``point_errors``, when given, holds one finite value >= 0 per point.
+    Distinctness is checked by sorting the rows and comparing neighbours.
+    Completeness is the caller's contract; windows built by the spiral and
+    lattice enumerators satisfy it by construction.
     """
 
     points: np.ndarray
@@ -74,9 +80,20 @@ class Patch:
                 srt = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
                 if (srt[1:] == srt[:-1]).all(axis=1).any():
                     raise InvalidSpec("patch points must be pairwise distinct")
+        if self.point_errors is not None:
+            errs = np.asarray(self.point_errors, dtype=np.float64)
+            if errs.shape != (len(pts),) or not (np.isfinite(errs) & (errs >= 0)).all():
+                raise InvalidSpec("point errors must be one finite value >= 0 per point")
+            self.point_errors = errs
 
     def __len__(self):
         return len(self.points)
+
+    @property
+    def max_error(self) -> float:
+        """Largest of ``point_errors``; 0 when there are none."""
+        errs = self.point_errors
+        return 0.0 if errs is None else float(np.max(errs, initial=0.0))
 
     @classmethod
     def empty(cls, window_radius: float, provenance: str = "") -> "Patch":
@@ -95,11 +112,15 @@ class Patch:
 
 @dataclass(frozen=True)
 class DeltaResult:
-    """Result of the monotone-predicate binary search.
+    """Delta(A, B) for two patches, with a bracket from the point errors.
 
-    value lies in [lower, upper]; upper - lower <= BRACKET_TOL.  ``certified``
-    states whether 1/value + value <= min(W_A, W_B), i.e. whether truncation
-    to the windows could not have changed the answer for the underlying sets.
+    ``value`` is Delta of the patches as given.  When every point of A and B
+    is within e_A and e_B of its exact position (the largest ``point_errors``
+    of each patch, 0 without them), Delta of the exact sets lies in
+    [lower, upper] = [value - e_A - e_B, value + e_A + e_B] wherever
+    upper <= 1; lower is clamped at 0.  ``certified`` states whether
+    1/lower + lower <= min(W_A, W_B), i.e. whether truncation to the windows
+    could not have changed the answer for the underlying sets.
     """
 
     value: float
@@ -109,86 +130,38 @@ class DeltaResult:
     certified: bool
 
 
-class _SideIndex:
-    """max over {a in A : |a| <= r} of dist(a, B), queryable per radius."""
-
-    def __init__(self, own: np.ndarray, other: np.ndarray):
-        if len(own) == 0:
-            self.norms = np.empty(0)
-            self.prefix = np.empty(0)
-            return
-        norms = np.hypot(own[:, 0], own[:, 1])
-        if len(other):
-            nn, _ = kd_tree(other).query(own, k=1)
-        else:
-            nn = np.full(len(own), np.inf)
-        order = np.argsort(norms, kind="stable")
-        self.norms = norms[order]
-        self.prefix = np.maximum.accumulate(nn[order])
-
-    def worst_within(self, r: float) -> float:
-        """max dist(a, other) over |a| <= r; 0 if no such point."""
-        k = int(np.searchsorted(self.norms, r, side="right"))
-        if k == 0:
-            return 0.0
-        return float(self.prefix[k - 1])
-
-
-def _feasible(side_ab: _SideIndex, side_ba: _SideIndex, eps: float) -> bool:
-    if eps <= 0:
-        return False
-    r = 1.0 / eps
-    return side_ab.worst_within(r) <= eps and side_ba.worst_within(r) <= eps
+def _thresholds(own: np.ndarray, other: np.ndarray, w_other: float) -> np.ndarray:
+    """min(nn(p), 1/|p|, W_other - |p|) for every point p of ``own``."""
+    norms = np.hypot(own[:, 0], own[:, 1])
+    if len(other) and len(own):
+        nn, _ = kd_tree(other).query(own, k=1)
+    else:
+        nn = np.full(len(own), np.inf)
+    with np.errstate(divide="ignore"):
+        escape = 1.0 / norms
+    return np.minimum(np.minimum(nn, escape), w_other - norms)
 
 
 def delta(a: Patch, b: Patch, *, strict: bool = False) -> DeltaResult:
-    """Binary search for Delta(A, B) with bracket width <= 1e-9.
+    """Delta(A, B) = max(0, max over p in A u B of min(nn(p), 1/|p|, W_other - |p|)).
 
-    With ``strict`` the certification condition is enforced by raising
-    WindowTooSmall instead of returning an uncertified value.
+    With ``strict`` every uncertified result raises WindowTooSmall instead
+    of being returned.
     """
     min_w = min(a.window_radius, b.window_radius)
     if min_w <= 1:
         raise WindowTooSmall("nothing is certifiable with window radius <= 1")
-    if len(a) == 0 and len(b) == 0:
-        return DeltaResult(0.0, 0.0, 0.0, min_w, False)
-    side_ab = _SideIndex(a.points, b.points)
-    side_ba = _SideIndex(b.points, a.points)
-    # identical point sets: every constraint is satisfied for every eps > 0
-    if (
-        len(a)
-        and len(b)
-        and side_ab.worst_within(math.inf) == 0.0
-        and side_ba.worst_within(math.inf) == 0.0
-    ):
-        # exact for the windows as finite sets; never certifiable for the
-        # underlying sets, which may differ beyond min W
-        return DeltaResult(0.0, 0.0, 0.0, min_w, False)
-    hi = 1.0
-    for _ in range(80):
-        if _feasible(side_ab, side_ba, hi):
-            break
-        hi *= 2.0
-    else:
-        # a point at the origin on one side with nothing on the other
-        if strict:
-            raise WindowTooSmall("distance is infinite; windows irrelevant")
-        return DeltaResult(math.inf, math.inf, math.inf, min_w, False)
-    lo = 0.0
-    while hi - lo > BRACKET_TOL:
-        mid = 0.5 * (lo + hi)
-        if _feasible(side_ab, side_ba, mid):
-            hi = mid
-        else:
-            lo = mid
-    value = hi
-    certified = value > 0 and (1.0 / value + value) <= min_w
+    value = float(np.max(np.concatenate([
+        _thresholds(a.points, b.points, b.window_radius),
+        _thresholds(b.points, a.points, a.window_radius),
+    ]), initial=0.0))
+    err = a.max_error + b.max_error
+    lower = max(0.0, value - err)
+    certified = lower > 0 and (1.0 / lower + lower) <= min_w
     if strict and not certified:
-        raise WindowTooSmall(
-            f"delta={value:.6g} needs window radius >= {1.0 / value + value:.6g}, "
-            f"have {min_w:.6g}"
-        )
-    return DeltaResult(value, lo, hi, min_w, certified)
+        need = f"window radius >= {1.0 / lower + lower:.6g}" if lower > 0 else "lower bound > 0"
+        raise WindowTooSmall(f"delta={value:.6g} needs {need} to certify, have {min_w:.6g}")
+    return DeltaResult(value, lower, value + err, min_w, certified)
 
 
 def chabauty_distance(a: Patch, b: Patch) -> float:
@@ -222,7 +195,7 @@ def cauchy_report(patches, tol: float) -> CauchyReport:
     ]
     tail = max(1, len(dists) // 3)
     tail_max = max(dists[-tail:])
-    monotone = all(dists[i + 1] <= dists[i] + BRACKET_TOL for i in range(len(dists) - 1))
+    monotone = all(dists[i + 1] <= dists[i] for i in range(len(dists) - 1))
     return CauchyReport(
         distances=dists,
         monotone_nonincreasing=monotone,

@@ -126,11 +126,19 @@ def _read_patch(path: Path, window: float | None) -> Patch:
     rows = path.read_text().strip().splitlines()
     header = rows[0].split(",")
     xi, yi = header.index("x"), header.index("y")
-    pts = []
+    ei = header.index("err") if "err" in header else None
+    pts, errs = [], []
     for line in rows[1:]:
         cells = line.split(",")
         pts.append((float(cells[xi]), float(cells[yi])))
-    return Patch(np.asarray(pts, dtype=np.float64).reshape(-1, 2), w, provenance=str(path))
+        if ei is not None:
+            errs.append(float(cells[ei]))
+    return Patch(
+        np.asarray(pts, dtype=np.float64).reshape(-1, 2),
+        w,
+        provenance=str(path),
+        point_errors=None if ei is None else np.asarray(errs, dtype=np.float64),
+    )
 
 
 # ---------------------------------------------------------------------------

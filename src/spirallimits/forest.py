@@ -142,13 +142,12 @@ def _lattice_directions(patch: Patch):
     return sorted(set(dirs))
 
 
-def _search_direction(pts, w_radius, eps, length, phi, margin, errors):
+def _search_direction(pts, w_radius, eps, length, phi, margin, pad):
     """Gap sweep for one direction; returns a probe or None."""
     u = np.array([math.cos(phi), math.sin(phi)])
     wv = np.array([-u[1], u[0]])
     pu = pts @ u
     pw = pts @ wv
-    pad = 0.0 if errors is None else float(np.max(errors, initial=0.0))
     half_w = eps / 2 + margin + pad
     band = w_radius - eps / 2
     if band <= 0:
@@ -193,7 +192,8 @@ def empty_rectangle_search(patch: Patch, eps: float, length: float, *,
     Candidate directions come from a fitted local lattice basis (the sparse
     directions of the limit lattices) followed by a uniform direction grid;
     offsets sweep gap midpoints and an eps/4 grid.  Every returned probe is
-    re-verified point by point.  ``None`` is not a proof of non-existence.
+    re-verified point by point: each point lies outside it by more than the
+    patch's largest point error.  ``None`` is not a proof of non-existence.
     """
     if eps <= 0 or length <= 0 or eps > length:
         raise InvalidSpec("need 0 < eps <= length")
@@ -203,13 +203,12 @@ def empty_rectangle_search(patch: Patch, eps: float, length: float, *,
     step = direction_step if direction_step is not None else eps / (2 * length)
     n_dirs = min(max_directions, max(4, int(math.ceil(math.pi / step))))
     grid_dirs = [k * math.pi / n_dirs for k in range(n_dirs)]
+    pad = patch.max_error
     for phi in _lattice_directions(patch) + grid_dirs:
-        probe = _search_direction(
-            pts, patch.window_radius, eps, length, phi, VERIFY_MARGIN, patch.point_errors
-        )
+        probe = _search_direction(pts, patch.window_radius, eps, length, phi, VERIFY_MARGIN, pad)
         if probe is not None:
-            if probe.contains(pts).any():
-                continue  # verification failed; keep searching
+            if probe.clearance(pts) <= pad:
+                continue  # a point within its error of the box; keep searching
             return probe
     return None
 

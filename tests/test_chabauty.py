@@ -1,4 +1,5 @@
-"""Chabauty-Fell distance: binary search vs a direct threshold oracle."""
+"""Chabauty-Fell distance: the closed form vs a per-point oracle and a
+brute-force feasibility predicate."""
 
 import math
 
@@ -11,20 +12,20 @@ from spirallimits.chabauty_metric import (
     cauchy_report,
     chabauty_distance,
     delta,
-    _SideIndex,
-    _feasible,
 )
 from spirallimits.spiral import recentered_window
 
 
 def delta_oracle(a: Patch, b: Patch) -> float:
-    """Independent computation: Delta = max over points of min(nn, 1/|p|).
+    """Independent computation: Delta = max over points of min(nn, 1/|p|, W_other - |p|).
 
     Each point contributes a feasibility threshold min(dist to the other set,
-    1/norm); the infimum of the monotone predicate is the max of them.
+    1/norm, distance to the other window's rim); the infimum of the monotone
+    predicate is the max of them (0 when none is positive).
     """
     worst = 0.0
-    for own, other in ((a.points, b.points), (b.points, a.points)):
+    for own, other, w_other in ((a.points, b.points, b.window_radius),
+                                (b.points, a.points, a.window_radius)):
         for p in own:
             norm = math.hypot(*p)
             if len(other):
@@ -32,8 +33,22 @@ def delta_oracle(a: Patch, b: Patch) -> float:
             else:
                 nn = math.inf
             escape = math.inf if norm == 0 else 1.0 / norm
-            worst = max(worst, min(nn, escape))
+            worst = max(worst, min(nn, escape, w_other - norm))
     return worst
+
+
+def feasible(a: Patch, b: Patch, eps: float) -> bool:
+    """The definition, point by point: every a in A with |a| <= 1/eps and
+    |a| + eps <= W_B has a point of B within eps, and symmetrically."""
+    for own, other, w_other in ((a.points, b.points, b.window_radius),
+                                (b.points, a.points, a.window_radius)):
+        for p in own:
+            norm = math.hypot(*p)
+            if norm * eps > 1 or norm + eps > w_other:
+                continue
+            if not any(math.hypot(p[0] - q[0], p[1] - q[1]) <= eps for q in other):
+                return False
+    return True
 
 
 def disk_ints(radius, shift=(0.0, 0.0)):
@@ -46,6 +61,24 @@ def random_patch(rng, w=12.0, spread=4.0, n_max=40):
     n = int(rng.integers(3, n_max))
     pts = rng.uniform(-spread, spread, (n, 2))
     return Patch(pts, w)
+
+
+def random_pair(rng, rim):
+    """Two independent random patches, or with ``rim`` two noisy copies of one
+    random set cut at their own radii in [6, 12]: points near a rim lose their
+    partner across it."""
+    if not rim:
+        return random_patch(rng), random_patch(rng)
+    ws = rng.uniform(6.0, 12.0, 2)
+    n = int(rng.integers(20, 200))
+    r = ws.max() * np.sqrt(rng.random(n))
+    ang = rng.uniform(0.0, 2 * math.pi, n)
+    base = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+    pair = []
+    for w in ws:
+        pts = base + rng.normal(0.0, 0.02, base.shape)
+        pair.append(Patch(pts[np.hypot(pts[:, 0], pts[:, 1]) <= w], w))
+    return tuple(pair)
 
 
 # --- examples from the contract ------------------------------------------------
@@ -96,37 +129,88 @@ def test_strict_mode_raises_on_uncertified():
     assert not res.certified  # 1/0.05 = 20 > 3
     with pytest.raises(WindowTooSmall):
         delta(a, b, strict=True)
+    # a lower end of 0 is never certified: identical sets, both sides empty,
+    # and a value of 0.5 (certifiable by itself) whose point errors reach 0
+    pts = np.array([[0.0, 0.0], [1.0, 2.0]])
+    wide = (Patch(np.array([[0.0, 0.0]]), 10, point_errors=np.array([0.3])),
+            Patch(np.array([[0.5, 0.0]]), 10, point_errors=np.array([0.3])))
+    zero_cases = [(Patch(pts, 10), Patch(pts, 10)), (Patch.empty(5), Patch.empty(5)), wide]
+    # a point at the origin against nothing: Delta is the other window's radius
+    far_cases = [(Patch(np.array([[0.0, 0.0]]), 5), Patch.empty(5))]
+    for x, y in zero_cases + far_cases:
+        assert not delta(x, y).certified
+        with pytest.raises(WindowTooSmall, match="certify"):
+            delta(x, y, strict=True)
+    assert delta(*far_cases[0]).value == 5.0
 
 
 def test_bracket_width():
+    """The bracket is the value without point errors and value -/+ (e_A + e_B) with them."""
     a = Patch(np.array([[0.0, 1.0], [3.0, 2.0]]), 15)
     b = Patch(np.array([[0.5, 1.2], [2.0, -1.0]]), 15)
     res = delta(a, b)
-    assert res.upper - res.lower <= 1e-9
-    assert res.lower <= res.value <= res.upper
+    assert res.lower == res.value == res.upper
+    ea, eb = 1e-6, 3e-6
+    res = delta(Patch(a.points, 15, point_errors=np.full(2, ea)),
+                Patch(b.points, 15, point_errors=np.linspace(0.0, eb, 2)))
+    assert res.lower == res.value - (ea + eb) and res.upper == res.value + (ea + eb)
 
 
-# --- dual route: binary search vs direct oracle --------------------------------
+def test_bracket_encloses_delta_of_moved_points():
+    """Moving every point by at most its error keeps Delta in [lower, upper]
+    whenever upper <= 1."""
+    rng = np.random.default_rng(17)
+    checked = 0
+    for i in range(200):
+        pair = []
+        for p in random_pair(rng, rim=bool(i % 2)):
+            # errors up to 1e-3; points stay inside the window after moving
+            errs = rng.uniform(0.0, 1e-3, len(p))
+            norms = np.hypot(p.points[:, 0], p.points[:, 1])
+            keep = norms + errs <= p.window_radius
+            pair.append(Patch(p.points[keep], p.window_radius, point_errors=errs[keep]))
+        a, b = pair
+        res = delta(a, b)
+        if res.upper > 1:
+            continue
+        for _ in range(5):
+            moved = []
+            for p in (a, b):
+                ang = rng.uniform(0.0, 2 * math.pi, len(p))
+                # half the points move by their full error
+                frac = np.where(rng.random(len(p)) < 0.5, 1.0, rng.random(len(p)))
+                r = p.point_errors * frac
+                moved.append(Patch(p.points + np.column_stack([r * np.cos(ang), r * np.sin(ang)]),
+                                   p.window_radius))
+            got = delta(*moved).value
+            assert res.lower - 1e-12 <= got <= res.upper + 1e-12, (res, got)
+        checked += 1
+    assert checked > 50
+
+
+# --- dual routes: closed form vs per-point oracle vs brute-force predicate ------
 
 def test_delta_matches_direct_oracle_randomized():
     rng = np.random.default_rng(42)
-    for _ in range(100):
-        a, b = random_patch(rng), random_patch(rng)
+    for i in range(200):
+        a, b = random_pair(rng, rim=bool(i % 2))
         got = delta(a, b).value
         want = delta_oracle(a, b)
-        assert abs(got - want) <= 2e-9, (got, want)
+        assert abs(got - want) <= 1e-12, (got, want)
 
 
 def test_monotone_predicate():
+    """The brute-force predicate is monotone in eps and switches at Delta."""
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        a, b = random_patch(rng), random_patch(rng)
-        ab = _SideIndex(a.points, b.points)
-        ba = _SideIndex(b.points, a.points)
-        eps = np.sort(rng.uniform(0.01, 3.0, 12))
-        flags = [_feasible(ab, ba, float(e)) for e in eps]
-        for i in range(len(flags) - 1):
-            assert not (flags[i] and not flags[i + 1])
+    for i in range(100):
+        a, b = random_pair(rng, rim=bool(i % 2))
+        d = delta(a, b).value
+        assert d > 0
+        assert not feasible(a, b, d * (1 - 1e-9))
+        assert feasible(a, b, d * (1 + 1e-9))
+        if i < 20:
+            flags = [feasible(a, b, float(e)) for e in np.sort(rng.uniform(0.01, 3.0, 12))]
+            assert flags == sorted(flags)
 
 
 # --- metric axioms ---------------------------------------------------------------
@@ -170,12 +254,10 @@ def test_cauchy_constant_sequence():
 def test_cauchy_translated_lattices():
     patches = [Patch(disk_ints(20, (1.0 / j, 0.0)), 20) for j in range(1, 11)]
     rep = cauchy_report(patches, tol=0.2)
-    for j in (1, 2, 3):  # below the window-truncation scale 1/W the offsets rule
-        expect = 1.0 / j - 1.0 / (j + 1)
-        assert abs(rep.distances[j - 1] - expect) <= 2e-2, (j, rep.distances[j - 1])
-    # and every value agrees with the independent oracle
-    for i, d in enumerate(rep.distances):
-        assert abs(d - min(1.0, delta_oracle(patches[i], patches[i + 1]))) <= 2e-9
+    for j, d in enumerate(rep.distances, start=1):
+        assert abs(d - (1.0 / j - 1.0 / (j + 1))) <= 1e-12, (j, d)
+        assert d == min(1.0, delta_oracle(patches[j - 1], patches[j]))
+    assert rep.monotone_nonincreasing
 
 
 def test_cauchy_alternating_not_converged():

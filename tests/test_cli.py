@@ -110,8 +110,13 @@ def test_delta_between_patch_files(tmp_path):
     assert run(["delta", "--a", p1 / "patch.csv", "--b", p2 / "patch.csv",
                 "--out", out]) == 0
     data = read_json(out / "delta.json")
-    assert 0.0 <= float(data["value"])
-    assert float(data["bracket"][1]) - float(data["bracket"][0]) <= 1e-9
+    value, (lower, upper) = float(data["value"]), map(float, data["bracket"])
+    assert 0.0 <= value
+    # the bracket is value -/+ the largest err of each file
+    err = sum(max(float(line.split(",")[3]) for line in (p / "patch.csv").read_text().split()[1:])
+              for p in (p1, p2))
+    assert 0 < err < 1e-9
+    assert abs(upper - (value + err)) <= 1e-15 and abs(lower - (value - err)) <= 1e-15
 
 
 def test_delta_rejects_nan_patch_row(tmp_path, capsys):
@@ -119,14 +124,15 @@ def test_delta_rejects_nan_patch_row(tmp_path, capsys):
     for n, out in ((2000, p1), (2001, p2)):
         assert run(["patch", "--alpha", "quad:1,1,2,5", "--center-index", n,
                     "--window", 6, "--out", out]) == 0
-    with (p1 / "patch.csv").open("a") as fh:
-        fh.write("1999,nan,0.5,1e-13\n")
-    capsys.readouterr()
-    assert run(["delta", "--a", p1 / "patch.csv", "--b", p2 / "patch.csv",
-                "--out", tmp_path / "delta"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "finite" in err
-    assert "Traceback" not in err
+    good = (p1 / "patch.csv").read_text()
+    for row in ("1999,nan,0.5,1e-13", "1999,3.0,0.5,nan", "1999,3.0,0.5,-1e-13"):
+        (p1 / "patch.csv").write_text(good + row + "\n")
+        capsys.readouterr()
+        assert run(["delta", "--a", p1 / "patch.csv", "--b", p2 / "patch.csv",
+                    "--out", tmp_path / "delta"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+        assert "Traceback" not in err
 
 
 def test_exit_codes(tmp_path):

@@ -182,6 +182,19 @@ def test_pipeline_trend_and_adjudication():
     assert last.shortest_gap < 0.02
 
 
+def test_pipeline_has_no_rim_plateau():
+    """Windows whose lattice ball has points at the rim with no spiral partner
+    inside W used to read Delta ~ 1/W = 0.125; their distances keep falling."""
+    sqrt2 = QuadraticAngle(0, 1, 1, 2)
+    rep = empirical_vs_predicted(sqrt2, 0.895396, range(12, 15), 8.0)
+    assert all(r.d_proof < 0.05 for r in rep.records), [r.d_proof for r in rep.records]
+    rep = empirical_vs_predicted(GOLDEN, 1.0, range(16, 19), 8.0)
+    d_proof = [r.d_proof for r in rep.records]
+    assert d_proof[0] > d_proof[1] > d_proof[2]
+    # j = 16's plateau-free distance is 0.083; the plateau read 0.1256
+    assert d_proof[0] < 0.1 and d_proof[2] < 0.05, d_proof
+
+
 def test_pipeline_shortest_vector_matches_offset_vector():
     convs = convergents(GOLDEN, 22)
     rep = empirical_vs_predicted(GOLDEN, 1.0, [21], 8.0)
