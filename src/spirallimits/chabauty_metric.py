@@ -19,27 +19,11 @@ uncertified for the underlying infinite sets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidSpec, SpiralLimitsError, WindowTooSmall
-
-def kd_tree(points: np.ndarray):
-    """k-d tree over ``points`` for nearest-neighbour queries.
-
-    Every nearest-neighbour query in the package goes through this helper.
-    The tree library is imported on the first call, so importing the package
-    and running a command that queries no tree never loads it; where it is
-    missing, the call raises SpiralLimitsError naming it.
-    """
-    try:
-        from scipy.spatial import cKDTree
-    except ImportError as exc:
-        raise SpiralLimitsError(f"nearest-neighbour queries need scipy: {exc}") from exc
-
-    return cKDTree(points)
 
 
 @dataclass
@@ -99,15 +83,28 @@ class Patch:
     def empty(cls, window_radius: float, provenance: str = "") -> "Patch":
         return cls(np.empty((0, 2)), window_radius, provenance)
 
-    def rotated(self, angle: float) -> "Patch":
-        c, s = math.cos(angle), math.sin(angle)
-        rot = self.points @ np.array([[c, s], [-s, c]])
-        return Patch(rot, self.window_radius, self.provenance + f" rot{angle:g}")
+    def nearest(self, queries=None) -> np.ndarray:
+        """Distance from each query row to the nearest patch point.
 
-    def translated(self, offset) -> "Patch":
-        pts = self.points + np.asarray(offset, dtype=np.float64)
-        w = self.window_radius + float(np.hypot(*offset))
-        return Patch(pts, w, self.provenance + " translated")
+        Without ``queries``, each point's distance to its nearest other
+        point.  Distances are inf where the patch has no (other) point.
+        Every nearest-neighbour query in the package goes through this
+        method.  Its k-d tree library is imported on the first call, so
+        importing the package and running a command that queries no tree
+        never loads it; where it is missing, the call raises
+        SpiralLimitsError naming it.
+        """
+        own = queries is None
+        q = self.points if own else np.asarray(queries, dtype=np.float64).reshape(-1, 2)
+        if len(self) < (2 if own else 1) or not len(q):
+            return np.full(len(q), np.inf)
+        try:
+            from scipy.spatial import cKDTree
+        except ImportError as exc:
+            raise SpiralLimitsError(f"nearest-neighbour queries need scipy: {exc}") from exc
+        if own:
+            return cKDTree(q).query(q, k=2)[0][:, 1]
+        return cKDTree(self.points).query(q, k=1)[0]
 
 
 @dataclass(frozen=True)
@@ -130,16 +127,12 @@ class DeltaResult:
     certified: bool
 
 
-def _thresholds(own: np.ndarray, other: np.ndarray, w_other: float) -> np.ndarray:
+def _thresholds(own: np.ndarray, other: Patch) -> np.ndarray:
     """min(nn(p), 1/|p|, W_other - |p|) for every point p of ``own``."""
     norms = np.hypot(own[:, 0], own[:, 1])
-    if len(other) and len(own):
-        nn, _ = kd_tree(other).query(own, k=1)
-    else:
-        nn = np.full(len(own), np.inf)
     with np.errstate(divide="ignore"):
         escape = 1.0 / norms
-    return np.minimum(np.minimum(nn, escape), w_other - norms)
+    return np.minimum(np.minimum(other.nearest(own), escape), other.window_radius - norms)
 
 
 def delta(a: Patch, b: Patch, *, strict: bool = False) -> DeltaResult:
@@ -152,8 +145,8 @@ def delta(a: Patch, b: Patch, *, strict: bool = False) -> DeltaResult:
     if min_w <= 1:
         raise WindowTooSmall("nothing is certifiable with window radius <= 1")
     value = float(np.max(np.concatenate([
-        _thresholds(a.points, b.points, b.window_radius),
-        _thresholds(b.points, a.points, a.window_radius),
+        _thresholds(a.points, b),
+        _thresholds(b.points, a),
     ]), initial=0.0))
     err = a.max_error + b.max_error
     lower = max(0.0, value - err)

@@ -27,7 +27,7 @@ from .forest import (
     density_ratio,
     spiral_empty_rectangle_search,
 )
-from .lattice2d import same_lattice
+from .lattice2d import FIT_TOL, same_lattice
 from .limits import (
     PredictionInput,
     center_indices,
@@ -445,14 +445,14 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "predict":
             p.add_argument("--form", choices=["proof", "theorem", "both"], default="both")
         else:
-            p.add_argument("--tol", type=float, default=0.05)
+            p.add_argument("--tol", type=float, default=FIT_TOL)
 
     p = add("empirical", help="empirical windows vs predictions per j")
     p.add_argument("--alpha", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--j", required=True, help="range lo:hi")
     p.add_argument("--window", type=float, required=True)
-    p.add_argument("--tol", type=float, default=0.05)
+    p.add_argument("--tol", type=float, default=FIT_TOL)
     p.add_argument("--finite-beta", action="store_true")
 
     p = add("orbit", help="rotation-orbit lattice matches at n_j + b")
@@ -461,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--b", required=True, help="range lo:hi")
     p.add_argument("--window", type=float, required=True)
-    p.add_argument("--tol", type=float, default=0.05)
+    p.add_argument("--tol", type=float, default=FIT_TOL)
 
     p = add("forest", help="empty-rectangle witnesses in a spiral disk")
     p.add_argument("--alpha", required=True)

@@ -13,13 +13,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chabauty_metric import Patch, kd_tree
+from .chabauty_metric import Patch
 from .errors import InvalidSpec, NotALattice, WindowTooLarge
 from .lattice2d import fit_lattice
 from .number_theory import AngleSpec
 from .spiral import recentered_window
 
 VERIFY_MARGIN = 1e-9
+# cap on the uniform direction grid of one rectangle search
+MAX_DIRECTIONS = 4096
+# consecutive local windows near the rim tried by a spiral search
+RIM_WINDOWS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +64,7 @@ def delone_constants(patch: Patch, grid_step: float) -> DeloneConstants:
     if grid_step <= 0:
         raise InvalidSpec("grid step must be positive")
     w = patch.window_radius
-    tree = kd_tree(pts)
-    d, _ = tree.query(pts, k=2)
-    packing = float(d[:, 1].min()) / 2
+    packing = float(patch.nearest().min()) / 2
 
     def covering_pass(margin):
         lim = w - margin
@@ -76,7 +78,7 @@ def delone_constants(patch: Patch, grid_step: float) -> DeloneConstants:
         samples = samples[np.hypot(samples[:, 0], samples[:, 1]) <= lim]
         if len(samples) == 0:
             raise WindowTooLarge("no interior samples at this grid step")
-        dist, _ = tree.query(samples, k=1)
+        dist = patch.nearest(samples)
         return float(dist.max()), len(samples)
 
     first, _ = covering_pass(max(grid_step, w / 10))
@@ -132,7 +134,7 @@ class RectangleProbe:
 def _lattice_directions(patch: Patch):
     """Sparse directions of the local lattice, when one fits."""
     try:
-        fit = fit_lattice(patch, tol=0.05)
+        fit = fit_lattice(patch)
     except (NotALattice, InvalidSpec):
         return []
     v1, v2 = fit.basis.v1, fit.basis.v2
@@ -143,7 +145,12 @@ def _lattice_directions(patch: Patch):
 
 
 def _search_direction(pts, w_radius, eps, length, phi, margin, pad):
-    """Gap sweep for one direction; returns a probe or None."""
+    """Gap sweep for one direction; returns a probe or None.
+
+    The first probe that clears every point by more than margin / 2 is
+    returned when it also clears them by more than ``pad``; otherwise the
+    direction gives None.
+    """
     u = np.array([math.cos(phi), math.sin(phi)])
     wv = np.array([-u[1], u[0]])
     pu = pts @ u
@@ -179,14 +186,13 @@ def _search_direction(pts, w_radius, eps, length, phi, margin, pad):
                 width=eps,
                 length=length,
             )
-            if probe.clearance(pts) > margin / 2:
-                return probe
+            clear = probe.clearance(pts)
+            if clear > margin / 2:
+                return probe if clear > pad else None
     return None
 
 
-def empty_rectangle_search(patch: Patch, eps: float, length: float, *,
-                           direction_step: float | None = None,
-                           max_directions: int = 4096) -> RectangleProbe | None:
+def empty_rectangle_search(patch: Patch, eps: float, length: float) -> RectangleProbe | None:
     """Search for an empty eps x length rectangle inside the patch window.
 
     Candidate directions come from a fitted local lattice basis (the sparse
@@ -200,15 +206,13 @@ def empty_rectangle_search(patch: Patch, eps: float, length: float, *,
     if patch.window_radius < length:
         raise InvalidSpec("window radius must be >= the rectangle length")
     pts = patch.points
-    step = direction_step if direction_step is not None else eps / (2 * length)
-    n_dirs = min(max_directions, max(4, int(math.ceil(math.pi / step))))
+    step = eps / (2 * length)
+    n_dirs = min(MAX_DIRECTIONS, max(4, int(math.ceil(math.pi / step))))
     grid_dirs = [k * math.pi / n_dirs for k in range(n_dirs)]
     pad = patch.max_error
     for phi in _lattice_directions(patch) + grid_dirs:
         probe = _search_direction(pts, patch.window_radius, eps, length, phi, VERIFY_MARGIN, pad)
         if probe is not None:
-            if probe.clearance(pts) <= pad:
-                continue  # a point within its error of the box; keep searching
             return probe
     return None
 
@@ -266,7 +270,7 @@ class SpiralForestWitness:
 
 def spiral_empty_rectangle_search(alpha: AngleSpec, window_radius: float,
                                   eps: float, length: float, *,
-                                  n_min: int = 1, attempts: int = 8) -> SpiralForestWitness | None:
+                                  n_min: int = 1) -> SpiralForestWitness | None:
     """Find a verified empty rectangle inside B_{window_radius} of the spiral.
 
     Limit windows far from the origin approach lattices, which contain empty
@@ -279,7 +283,7 @@ def spiral_empty_rectangle_search(alpha: AngleSpec, window_radius: float,
     if rim <= 0:
         raise InvalidSpec("window radius too small for the requested rectangle")
     n_center = int(rim * rim)
-    for k in range(attempts):
+    for k in range(RIM_WINDOWS):
         n_c = max(n_min, n_center + k)
         win, offsets, errs = recentered_window(alpha, n_c, local_r, n_min=n_min)
         patch = Patch(

@@ -12,10 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chabauty_metric import Patch, kd_tree
+from .chabauty_metric import Patch
 from .errors import DegenerateBasis, InvalidSpec, NotALattice, WindowTooLarge
 
 _MAX_BALL_POINTS = 2_000_000
+# reduction steps before a basis counts as nearly singular
+_REDUCE_STEPS = 64
+# how far a window point may sit from a fitted lattice, shared by every fit
+FIT_TOL = 0.05
 
 
 @dataclass
@@ -61,7 +65,7 @@ def covolume(b: Basis2) -> float:
     return d
 
 
-def gauss_reduce(b: Basis2, max_iter: int = 64) -> ReducedBasis2:
+def gauss_reduce(b: Basis2) -> ReducedBasis2:
     """Lagrange-Gauss reduction: |v1| <= |v2|, |v1.v2| <= |v1|^2 / 2.
 
     v1 of the result is a shortest nonzero lattice vector.
@@ -73,7 +77,7 @@ def gauss_reduce(b: Basis2, max_iter: int = 64) -> ReducedBasis2:
     if v1 @ v1 > v2 @ v2:
         v1, v2 = v2, v1
         t = t[:, ::-1].copy()
-    for _ in range(max_iter):
+    for _ in range(_REDUCE_STEPS):
         mu = round(float(v1 @ v2) / float(v1 @ v1))
         v2 = v2 - mu * v1
         t[:, 1] -= mu * t[:, 0]
@@ -149,7 +153,7 @@ class LatticeFit:
     matched_lattice: int
 
 
-def fit_lattice(patch: Patch, tol: float = 0.05) -> LatticeFit:
+def fit_lattice(patch: Patch, tol: float = FIT_TOL) -> LatticeFit:
     """Fit a lattice to a complete patch containing the origin.
 
     v1 is the shortest nonzero patch point; v2 minimizes |det| among
@@ -219,15 +223,13 @@ def fit_lattice(patch: Patch, tol: float = 0.05) -> LatticeFit:
             residual=residual,
         )
     ball = lattice_ball(basis, w - tol)
-    if len(ball):
-        dist, _ = kd_tree(pts).query(ball.points, k=1)
-        missing = int((dist > tol).sum())
-        if missing:
-            raise NotALattice(
-                f"{missing} lattice points in B_{w - tol:.3g} unmatched by the patch",
-                residual=residual,
-                missing=missing,
-            )
+    missing = int((patch.nearest(ball.points) > tol).sum())
+    if missing:
+        raise NotALattice(
+            f"{missing} lattice points in B_{w - tol:.3g} unmatched by the patch",
+            residual=residual,
+            missing=missing,
+        )
     return LatticeFit(
         basis=basis,
         residual=residual,

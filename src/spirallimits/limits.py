@@ -17,16 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from mpmath import mp
 
-from .chabauty_metric import Patch, chabauty_distance, kd_tree
+from .chabauty_metric import Patch, chabauty_distance
 from .errors import InvalidSpec, NotALattice
-from .lattice2d import Basis2, fit_lattice, lattice_ball, same_lattice
+from .lattice2d import FIT_TOL, Basis2, fit_lattice, lattice_ball, same_lattice
 from .number_theory import AngleSpec, convergents
 from .spiral import IndexWindow, angle_fraction, offset_between, recentered_window
 
 PROOF_FORM = "proof_form"
 THEOREM_FORM = "theorem_form"
 MIN_PATCH_WINDOW = 4.0
-DEFAULT_FIT_TOL = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,7 @@ class ComparisonReport:
 
 
 def empirical_vs_predicted(alpha: AngleSpec, t: float, j_range, window: float,
-                           tol: float = DEFAULT_FIT_TOL, *,
+                           tol: float = FIT_TOL, *,
                            use_finite_beta: bool = False) -> ComparisonReport:
     """Per-j Chabauty distances of empirical windows to both predicted forms.
 
@@ -301,7 +300,7 @@ class OrbitReport:
 
 
 def rotation_orbit(alpha: AngleSpec, n_base: int, b_range, window: float,
-                   tol: float = DEFAULT_FIT_TOL) -> OrbitReport:
+                   tol: float = FIT_TOL) -> OrbitReport:
     """Fitted lattices at centers n_base + b versus the rotated base lattice.
 
     The base lattice fitted at n_base, rotated by 2 pi alpha b, should match
@@ -345,7 +344,7 @@ class ClosureReport:
     tol: float
 
 
-def group_closure_check(patch: Patch, tol: float = DEFAULT_FIT_TOL) -> ClosureReport:
+def group_closure_check(patch: Patch, tol: float = FIT_TOL) -> ClosureReport:
     """Testable form of the closed-subgroup property of limit windows.
 
     Additive: all u, v with |u|, |v| <= W/2 and |u+v| <= W-1 have a patch
@@ -353,33 +352,19 @@ def group_closure_check(patch: Patch, tol: float = DEFAULT_FIT_TOL) -> ClosureRe
     """
     pts = patch.points
     w = patch.window_radius
-    if len(pts) == 0:
-        return ClosureReport(0, 0, 0.0, 0, 0, 0.0, tol)
-    tree = kd_tree(pts)
     norms = np.hypot(pts[:, 0], pts[:, 1])
     small = pts[norms <= w / 2]
     sums = small[:, None, :] + small[None, :, :]
     sums = sums.reshape(-1, 2)
     sums = sums[np.hypot(sums[:, 0], sums[:, 1]) <= w - 1]
-    if len(sums):
-        d_add, _ = tree.query(sums, k=1)
-        add_viol = int((d_add >= tol).sum())
-        add_worst = float(d_add.max())
-    else:
-        add_viol, add_worst = 0, 0.0
     inv = -pts[norms <= w - 1]
-    if len(inv):
-        d_inv, _ = tree.query(inv, k=1)
-        inv_viol = int((d_inv >= tol).sum())
-        inv_worst = float(d_inv.max())
-    else:
-        inv_viol, inv_worst = 0, 0.0
+    d_add, d_inv = patch.nearest(sums), patch.nearest(inv)
     return ClosureReport(
         additive_checked=len(sums),
-        additive_violations=add_viol,
-        additive_worst=add_worst,
+        additive_violations=int((d_add >= tol).sum()),
+        additive_worst=float(d_add.max(initial=0.0)),
         inversion_checked=len(inv),
-        inversion_violations=inv_viol,
-        inversion_worst=inv_worst,
+        inversion_violations=int((d_inv >= tol).sum()),
+        inversion_worst=float(d_inv.max(initial=0.0)),
         tol=tol,
     )

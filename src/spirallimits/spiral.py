@@ -276,10 +276,10 @@ def _iv_abs_square(v):
 
 
 def _certify_members(alpha: AngleSpec, candidates, cx_iv, cy_iv, radius: float, prec: int):
-    """Interval re-check of candidates; returns kept indices and offsets."""
+    """Interval re-check of candidates; returns the kept indices."""
     with _iv_prec(prec):
         r_iv = iv.mpf(mp.mpf(radius))
-        kept, xs, ys, errs = [], [], [], []
+        kept = []
         for m in candidates.tolist():
             xi, yi, _ = _position_iv(alpha, m, prec)
             dx = xi - cx_iv
@@ -291,17 +291,8 @@ def _certify_members(alpha: AngleSpec, candidates, cx_iv, cy_iv, radius: float, 
                 raise PrecisionExhausted(
                     f"membership of n={m} undecidable at radius {radius}"
                 )
-            x, y = _mid(dx), _mid(dy)
-            err = float(mp.mpf(dx.delta) + mp.mpf(dy.delta)) / 2 + (abs(x) + abs(y)) * 2.0**-52
             kept.append(m)
-            xs.append(x)
-            ys.append(y)
-            errs.append(err)
-        return (
-            np.asarray(kept, dtype=np.int64),
-            np.column_stack([xs, ys]) if kept else np.empty((0, 2)),
-            np.asarray(errs),
-        )
+        return np.asarray(kept, dtype=np.int64)
 
 
 def indices_in_ball(alpha: AngleSpec, center, radius: float, *,
@@ -331,7 +322,7 @@ def indices_in_ball(alpha: AngleSpec, center, radius: float, *,
     prec = _window_prec(rc, radius)
     with _iv_prec(prec):
         cx_iv, cy_iv = iv.mpf(cx), iv.mpf(cy)
-    kept, _, _ = _certify_members(alpha, cand, cx_iv, cy_iv, radius, prec)
+    kept = _certify_members(alpha, cand, cx_iv, cy_iv, radius, prec)
     return IndexWindow(center=(cx, cy), radius=radius, indices=kept, n_min=n_min)
 
 
@@ -374,7 +365,7 @@ def recentered_window(alpha: AngleSpec, n_center: int, radius: float, *,
     dx, dy = dx[keep], dy[keep]
     shell = np.flatnonzero(dist[keep] > radius - err)
     if len(shell):
-        members, _, _ = _certify_members(alpha, m[shell], cx_iv, cy_iv, radius, prec)
+        members = _certify_members(alpha, m[shell], cx_iv, cy_iv, radius, prec)
         out = shell[~np.isin(m[shell], members)]
         m, dx, dy = np.delete(m, out), np.delete(dx, out), np.delete(dy, out)
     offsets = np.column_stack([dx * ex - dy * ey, dx * ey + dy * ex])

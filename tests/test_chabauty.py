@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spirallimits import InvalidSpec, WindowTooSmall, parse_angle
+from spirallimits import InvalidSpec, RationalAngle, WindowTooSmall, parse_angle
 from spirallimits.chabauty_metric import (
     Patch,
     cauchy_report,
@@ -235,11 +235,20 @@ def test_zero_iff_same_points():
 
 def test_rotation_invariance():
     rng = np.random.default_rng(21)
-    a, b = random_patch(rng), random_patch(rng)
-    base = delta(a, b).value
+    a, b = (Patch(p.points, p.window_radius, point_errors=rng.uniform(0.0, 1e-3, len(p)))
+            for p in (random_patch(rng), random_patch(rng)))
+    base = delta(a, b)
+
+    def rotated(p, ang):
+        c, s = math.cos(ang), math.sin(ang)
+        rot = p.points @ np.array([[c, s], [-s, c]])
+        return Patch(rot, p.window_radius, point_errors=p.point_errors)
+
     for ang in (0.3, 1.2, 2.9):
-        got = delta(a.rotated(ang), b.rotated(ang)).value
-        assert abs(got - base) <= 1e-9 + 1e-9
+        got = delta(rotated(a, ang), rotated(b, ang))
+        for field in ("value", "lower", "upper"):
+            assert abs(getattr(got, field) - getattr(base, field)) <= 1e-9 + 1e-9, field
+    assert base.lower < base.value < base.upper
 
 
 # --- cauchy reports ---------------------------------------------------------------
@@ -339,3 +348,57 @@ def test_patch_distinctness_matches_tree_oracle():
         assert got_reject == expect_reject
         rejected += got_reject
     assert 50 < rejected < 250
+
+
+# --- nearest distances ---------------------------------------------------------
+
+def nearest_oracle(points, queries, own_rows=None):
+    """Brute-force nearest distances, written as sqrt(dx*dx + dy*dy) row by row.
+
+    With ``own_rows``, query i is the point in row own_rows[i], which is skipped.
+    """
+    out = np.full(len(queries), np.inf)
+    for i, q in enumerate(queries):
+        dx = points[:, 0] - q[0]
+        dy = points[:, 1] - q[1]
+        d = np.sqrt(dx * dx + dy * dy)
+        if own_rows is not None:
+            d[own_rows[i]] = np.inf
+        out[i] = d.min(initial=np.inf)
+    return out
+
+
+def test_nearest_matches_brute_force_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        patch = random_patch(rng, n_max=200)
+        queries = rng.uniform(-12.0, 12.0, (int(rng.integers(1, 300)), 2))
+        assert np.array_equal(patch.nearest(queries), nearest_oracle(patch.points, queries))
+        own = nearest_oracle(patch.points, patch.points, own_rows=range(len(patch)))
+        assert np.array_equal(patch.nearest(), own)
+
+
+def test_nearest_without_points():
+    queries = np.array([[0.0, 0.0], [3.0, 4.0]])
+    assert np.array_equal(Patch.empty(5).nearest(queries), [np.inf, np.inf])
+    assert Patch.empty(5).nearest().shape == (0,)
+    assert np.array_equal(Patch(np.array([[1.0, 0.0]]), 5).nearest(), [np.inf])
+    assert Patch(np.array([[1.0, 0.0]]), 5).nearest(np.empty((0, 2))).shape == (0,)
+
+
+def test_nearest_underflowing_pair_is_zero():
+    patch = Patch(np.array([[0.0, 0.0], [1e-200, 0.0]]), 1)
+    assert np.array_equal(patch.nearest(), [0.0, 0.0])
+    assert np.array_equal(patch.nearest(np.array([[1e-200, 0.0]])), [0.0])
+
+
+def test_nearest_on_a_collinear_rational_window():
+    _, offsets, _ = recentered_window(RationalAngle(1, 2), 10**6, 8.0)
+    patch = Patch(offsets, 8.0)
+    rng = np.random.default_rng(5)
+    rows = rng.choice(len(patch), 300, replace=False)
+    assert len(patch) == 16001
+    assert np.array_equal(patch.nearest()[rows],
+                          nearest_oracle(patch.points, patch.points[rows], own_rows=rows))
+    samples = rng.uniform(-8.0, 8.0, (300, 2))
+    assert np.array_equal(patch.nearest(samples), nearest_oracle(patch.points, samples))

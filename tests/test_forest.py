@@ -135,6 +135,30 @@ def test_z2_strip_found_and_verified():
     assert probe.clearance(patch.points) > 0
 
 
+def test_probe_within_point_error_moves_to_next_direction(monkeypatch):
+    """A probe that clears the verification margin but not the point error
+    ends its direction: the search returns the first probe of the next one,
+    after one clearance check of the rejected probe."""
+    ball = z2_patch(10.0)
+    patch = Patch(ball.points, 10.0, point_errors=np.full(len(ball), 1e-6))
+    assert empty_rectangle_search(patch, 0.5, 8.0).direction == 0.0
+    true_clearance = RectangleProbe.clearance
+    asked = []
+
+    def within_error(probe, points):
+        if probe.direction == 0.0:  # as if a point sat within its error of the box
+            asked.append(probe)
+            return patch.max_error / 2
+        return true_clearance(probe, points)
+
+    monkeypatch.setattr(RectangleProbe, "clearance", within_error)
+    probe = empty_rectangle_search(patch, 0.5, 8.0)
+    assert probe == RectangleProbe(center=(0.24999999999999994, -0.25),
+                                   direction=math.pi / 4, width=0.5, length=8.0)
+    assert len(asked) == 1
+    assert true_clearance(probe, patch.points) > patch.max_error
+
+
 def test_rational_axis_rays_strip():
     # alpha = 1/2 puts every point on the x axis
     pts = np.array([[spiral_point(RationalAngle(1, 2), n).x, 0.0] for n in range(1, 901)])

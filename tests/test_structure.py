@@ -8,6 +8,8 @@ import spirallimits
 ANGLE_KINDS = {"RationalAngle", "QuadraticAngle", "DecimalAngle"}
 # the only top-level scopes that may test an angle's kind: parsing and the spec classes
 KIND_SCOPES = {"parse_angle", "AngleSpec", *ANGLE_KINDS}
+# the only module that may import scipy or run a nearest-neighbour query
+NEAREST_MODULE = "chabauty_metric.py"
 
 
 def kind_tests(tree):
@@ -55,3 +57,47 @@ def test_kind_test_detector_sees_every_form():
         "    return issubclass(type(a), RationalAngle)\n"
     )
     assert kind_tests(ast.parse(code)) == [(2, ("f",)), (5, ("C", "g")), (7, ("parse_angle",))]
+
+
+def nearest_neighbour_uses(tree):
+    """Lines that import scipy or call a ``.query(`` method."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            found.append(node.lineno)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "query"):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_nearest_neighbour_queries_only_in_chabauty_metric():
+    """``Patch.nearest`` is the one place that decides how nearest distances
+    are found; no other module imports scipy or queries a tree."""
+    package = Path(spirallimits.__file__).parent
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != NEAREST_MODULE
+        for line in nearest_neighbour_uses(ast.parse(path.read_text()))
+    ]
+    assert not offenders
+    assert nearest_neighbour_uses(ast.parse((package / NEAREST_MODULE).read_text()))
+
+
+def test_nearest_neighbour_detector_sees_every_form():
+    code = (
+        "import scipy\n"
+        "import numpy, scipy.spatial as sp\n"
+        "from scipy.spatial import cKDTree\n"
+        "from . import query\n"
+        "def f(t, q):\n"
+        "    return t.query(q, k=1), query(q), sp.cKDTree(q).query(q)\n"
+    )
+    assert nearest_neighbour_uses(ast.parse(code)) == [1, 2, 3, 6, 6]
