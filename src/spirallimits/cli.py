@@ -120,16 +120,25 @@ def _read_patch(path: Path, window: float | None) -> Patch:
     w = window
     if w is None and meta_path.exists():
         meta = json.loads(meta_path.read_text())
+        if not isinstance(meta, dict) or "window_radius" not in meta:
+            raise SpiralLimitsError(f"{meta_path} has no window_radius; pass --a/b-window")
         w = float(meta["window_radius"])
     if w is None:
         raise SpiralLimitsError(f"no window radius for {path}; pass --a/b-window")
     rows = path.read_text().strip().splitlines()
-    header = rows[0].split(",")
+    header = rows[0].split(",") if rows else []
+    for column in ("x", "y"):
+        if column not in header:
+            raise SpiralLimitsError(f"{path} has no {column} column")
     xi, yi = header.index("x"), header.index("y")
     ei = header.index("err") if "err" in header else None
     pts, errs = [], []
-    for line in rows[1:]:
+    for line_no, line in enumerate(rows[1:], start=2):
         cells = line.split(",")
+        if len(cells) != len(header):
+            raise SpiralLimitsError(
+                f"{path} line {line_no} has {len(cells)} columns, the header {len(header)}"
+            )
         pts.append((float(cells[xi]), float(cells[yi])))
         if ei is not None:
             errs.append(float(cells[ei]))
@@ -360,7 +369,11 @@ def _cmd_delone(args, out: Path):
 
 def _cmd_report(args, out: Path):
     run = Path(args.run)
-    manifest = json.loads((run / "manifest.json").read_text())
+    manifest_path = run / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for key in ("command", "tool_version"):
+        if not isinstance(manifest, dict) or key not in manifest:
+            raise SpiralLimitsError(f"{manifest_path} has no {key} key")
     lines = [
         f"run: {manifest['command']}",
         f"tool version: {manifest['tool_version']}",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from mpmath import iv, mp
@@ -31,8 +30,8 @@ from .lattice2d import Basis2, gauss_reduce
 from .number_theory import AngleSpec, _expansion, _iv_prec, _midpoints, largest_denominator_at_most
 
 PREC_PAD = 96  # default evaluation bits beyond bits(n)
-_FILTER_SLACK = 1e-6  # box margin past the radius; ball candidates are certified later
-_MAX_WINDOW_POINTS = 4_000_000  # output budget: enumerated lattice points or ball indices
+_FILTER_SLACK = 1e-6  # box margin past the radius, so the box bounds' rounding drops no member
+_MAX_WINDOW_POINTS = 4_000_000  # output budget: lattice points a window box may enumerate
 _U = 2.0**-53  # unit roundoff of float64
 _LIBM_ULPS = 8  # allowed error of numpy sin and cos, checked by the differential test
 
@@ -114,12 +113,10 @@ def spiral_point(alpha: AngleSpec, n: int, prec: int | None = None) -> SpiralPoi
 
 @dataclass
 class IndexWindow:
-    """All spiral indices whose points lie in a closed ball."""
+    """All spiral indices whose points lie in a closed ball about a spiral point."""
 
     center: tuple
-    radius: float
     indices: np.ndarray
-    n_min: int
 
     def __len__(self):
         return len(self.indices)
@@ -136,10 +133,10 @@ def _convergent_pair(alpha: AngleSpec, k_max: int):
     return seq[-2], seq[-1]
 
 
-def _lattice_box(alpha: AngleSpec, k_max: int, half_turns: float, delta0: float):
-    """Lattice points (k, delta = k*alpha - p), |k| <= k_max, |delta - delta0| <= half_turns.
+def _lattice_box(alpha: AngleSpec, k_max: int, half_turns: float):
+    """Lattice points (k, delta = k*alpha - p), |k| <= k_max, |delta| <= half_turns.
 
-    Returns k (exact int64), delta - delta0 (float64) and a bound on the
+    Returns k (exact int64), delta (float64) and a bound on the
     error of those floats.  The convergent basis is scaled so the box is a
     square and Gauss-reduced there; a Cramer bound limits the rows along the
     shorter vector and each row is cut to the box, so the work is the output
@@ -167,16 +164,12 @@ def _lattice_box(alpha: AngleSpec, k_max: int, half_turns: float, delta0: float)
             for c in (0, 1)
         )
         r1, r2 = float(k1 * mid - p1), float(k2 * mid - p2)
-        e = k2 * p1 - k1 * p2  # = k1*r2 - k2*r1 exactly, so +-1
-        # (x, y) = i*(k1, r1) + j*(k2, r2) has i = e*(x*r2 - y*k2), j = e*(k1*y - x*r1);
-        # count (i, j) from the lattice point nearest the box center (0, delta0)
-        i0, j0 = round(-e * delta0 * k2), round(e * delta0 * k1)
-        k0, p0 = i0 * k1 + j0 * k2, i0 * p1 + j0 * p2
-        g0 = float(k0 * mid - p0) - delta0
+    # (x, y) = i*(k1, r1) + j*(k2, r2) has i = +-(x*r2 - y*k2), j = +-(k1*y - x*r1),
+    # as k1*r2 - k2*r1 = k2*p1 - k1*p2 = +-1; count (i, j) from the box center (0, 0)
     bj = math.ceil(k_max * abs(r1) + half_turns * abs(k1)) + 1
     j = np.arange(-bj, bj + 1, dtype=np.int64)
     lo, hi = np.full(len(j), -np.inf), np.full(len(j), np.inf)
-    for start, step, half in ((k0 + j * k2, k1, k_max), (g0 + j * r2, r1, half_turns)):
+    for start, step, half in ((j * k2, k1, k_max), (j * r2, r1, half_turns)):
         if step == 0:
             hi[np.abs(start) > half] = -np.inf
             continue
@@ -188,52 +181,48 @@ def _lattice_box(alpha: AngleSpec, k_max: int, half_turns: float, delta0: float)
     total = int(counts.sum())
     if total > _MAX_WINDOW_POINTS:
         raise WindowTooLarge(f"window box holds ~{total} lattice points (> {_MAX_WINDOW_POINTS})")
-    # r1, r2 and g0 are rounded once from values exact far past float64
-    # (<= 2u relative each, u = 2^-53); the products i*r1, j*r2 and the two
-    # sums below add 3u relative to the magnitudes summed; 8u covers both.
+    # r1 and r2 are rounded once from values exact far past float64
+    # (<= 2u relative each, u = 2^-53); the products i*r1, j*r2 and the
+    # sum below add 3u relative to the magnitudes summed; 8u covers both.
     i_max = np.maximum(np.abs(i_lo), np.abs(i_lo + counts - 1))[ok].max(initial=0)
     j_max = np.abs(j[ok]).max(initial=0)
-    gap_err = 8 * _U * (abs(g0) + float(i_max) * abs(r1) + float(j_max) * abs(r2)) + literal
+    gap_err = 8 * _U * (float(i_max) * abs(r1) + float(j_max) * abs(r2)) + literal
     first = np.cumsum(counts) - counts
     i = np.arange(total, dtype=np.int64) - np.repeat(first - i_lo, counts)
     j = np.repeat(j, counts)
-    k = k0 + i * k1 + j * k2
-    gap = g0 + i * r1 + j * r2
+    k = i * k1 + j * k2
+    # + 0.0 turns a -0.0 gap into 0.0, so no offset on the center's ray is -0.0
+    gap = i * r1 + j * r2 + 0.0
     keep = (np.abs(k) <= k_max) & (np.abs(gap) <= half_turns)
     return k[keep], gap[keep], gap_err
 
 
-def _candidates(alpha: AngleSpec, n0: int, radius: float, n_min: int, *,
-                delta0: float = 0.0, excess: float = 0.0):
-    """Box points m >= n_min around a center, with offsets and their error.
+def _candidates(alpha: AngleSpec, n0: int, radius: float, n_min: int):
+    """Box points m >= n_min around x_{n0}, with offsets and their error.
 
-    The center has squared modulus n0 + excess (|excess| <= 1/2) and angle
-    frac(n0*alpha) + delta0 turns.  Since |x_m| = sqrt(m) and
-    sin(pi t) >= 2t on [0, 1/2], membership forces |m - n0| <= w(2 rc + w) + 1
-    and an angle gap of at most w / (4 (rc - w)) turns.  Returns m (unsorted;
-    a half-turn box can list an index twice), the offsets x_m - center in the
-    frame rotated to the center's angle, their length, and a bound on the
-    Euclidean error of the offsets and of that length where it is within one
-    of the radius.  The bound covers every error source when delta0 and
-    excess are zero (a spiral point as center); otherwise the ball's interval
-    check settles membership.
+    Since |x_m| = sqrt(m) and sin(pi t) >= 2t on [0, 1/2], membership forces
+    |m - n0| <= w(2 rc + w) + 1 and an angle gap of at most w / (4 (rc - w))
+    turns, rc = sqrt(n0).  Returns m (unsorted; a half-turn box can list an
+    index twice), the offsets x_m - x_{n0} in the frame rotated to the
+    center's angle, their length, and a bound on the Euclidean error of the
+    offsets and of that length where it is within one of the radius.
     """
-    rc = math.sqrt(n0 + excess)
+    rc = math.sqrt(n0)
     w = radius + _FILTER_SLACK
     k_max = math.ceil(w * (2 * rc + w)) + 1
     half_turns = min(0.5, w / (4 * (rc - w))) if rc > w else 0.5
-    k, turns, gap_err = _lattice_box(alpha, k_max, half_turns, delta0)
+    k, turns, gap_err = _lattice_box(alpha, k_max, half_turns)
     m = k + n0
     ok = m >= max(n_min, 0)
     if not ok.all():
         k, m, turns = k[ok], m[ok], turns[ok]
     rn = np.sqrt(m.astype(np.float64))
     s = np.sin(np.pi * turns)
-    # sqrt(m) - rc = (k - excess) / (sqrt(m) + rc) without cancellation
+    # sqrt(m) - rc = k / (sqrt(m) + rc) without cancellation
     denom = rn + rc
     if rc == 0.0:
         denom[m == 0] = 1.0  # x_0 is the center: 0 / 1
-    dx = (k - excess) / denom - 2.0 * rn * s * s
+    dx = k / denom - 2.0 * rn * s * s
     dy = rn * np.sin(2.0 * np.pi * turns)
     dist = np.sqrt(dx * dx + dy * dy)
     # Magnitudes over the box: sqrt(m) <= r_hi, |turns| <= t_hi, |sqrt(m) - rc| <= a_hi.
@@ -275,55 +264,14 @@ def _iv_abs_square(v):
     return s if s.a >= 0 else iv.mpf([0, s.b])
 
 
-def _certify_members(alpha: AngleSpec, candidates, cx_iv, cy_iv, radius: float, prec: int):
-    """Interval re-check of candidates; returns the kept indices."""
+def _iv_distances(alpha: AngleSpec, ms, cx_iv, cy_iv, prec: int):
+    """Interval distances |x_m - (cx_iv, cy_iv)| for each index m in ms."""
     with _iv_prec(prec):
-        r_iv = iv.mpf(mp.mpf(radius))
-        kept = []
-        for m in candidates.tolist():
+        dists = []
+        for m in ms:
             xi, yi, _ = _position_iv(alpha, m, prec)
-            dx = xi - cx_iv
-            dy = yi - cy_iv
-            dist = iv.sqrt(_iv_abs_square(dx) + _iv_abs_square(dy))
-            if dist.a > r_iv.b:
-                continue
-            if not dist.b <= r_iv.a:
-                raise PrecisionExhausted(
-                    f"membership of n={m} undecidable at radius {radius}"
-                )
-            kept.append(m)
-        return np.asarray(kept, dtype=np.int64)
-
-
-def indices_in_ball(alpha: AngleSpec, center, radius: float, *,
-                    n_min: int = 1) -> IndexWindow:
-    """Exactly the indices n >= n_min with |x_n - center| <= radius."""
-    if radius <= 0:
-        raise InvalidSpec("radius must be positive")
-    cx, cy = float(center[0]), float(center[1])
-    rc = math.hypot(cx, cy)
-    if cx == 0.0 and cy == 0.0:
-        # |x_n| = sqrt(n) exactly, so membership is the integer test n <= r^2
-        n_hi_exact = math.floor(Fraction(radius) ** 2)
-        if n_hi_exact - n_min > _MAX_WINDOW_POINTS:
-            raise WindowTooLarge(
-                f"ball holds ~{n_hi_exact - n_min} indices (> {_MAX_WINDOW_POINTS})"
-            )
-        idx = np.arange(n_min, n_hi_exact + 1, dtype=np.int64)
-        return IndexWindow(center=(0.0, 0.0), radius=radius, indices=idx, n_min=n_min)
-    # reference index n0 near |c|^2; the center sits delta0 turns past x_{n0}
-    n0 = round(cx * cx + cy * cy)
-    ref = spiral_point(alpha, n0)
-    delta0 = ((math.atan2(cy, cx) - math.atan2(ref.y, ref.x)) / (2 * math.pi) + 0.5) % 1 - 0.5
-    m, _, _, dist, _ = _candidates(
-        alpha, n0, radius, n_min, delta0=delta0, excess=cx * cx + cy * cy - n0
-    )
-    cand = np.unique(m[dist <= radius + _FILTER_SLACK])
-    prec = _window_prec(rc, radius)
-    with _iv_prec(prec):
-        cx_iv, cy_iv = iv.mpf(cx), iv.mpf(cy)
-    kept = _certify_members(alpha, cand, cx_iv, cy_iv, radius, prec)
-    return IndexWindow(center=(cx, cy), radius=radius, indices=kept, n_min=n_min)
+            dists.append(iv.sqrt(_iv_abs_square(xi - cx_iv) + _iv_abs_square(yi - cy_iv)))
+        return dists
 
 
 def recentered_window(alpha: AngleSpec, n_center: int, radius: float, *,
@@ -365,14 +313,19 @@ def recentered_window(alpha: AngleSpec, n_center: int, radius: float, *,
     dx, dy = dx[keep], dy[keep]
     shell = np.flatnonzero(dist[keep] > radius - err)
     if len(shell):
-        members = _certify_members(alpha, m[shell], cx_iv, cy_iv, radius, prec)
-        out = shell[~np.isin(m[shell], members)]
+        ms, r_iv = m[shell].tolist(), iv.mpf(radius)
+        outside = []
+        for mi, d in zip(ms, _iv_distances(alpha, ms, cx_iv, cy_iv, prec)):
+            if not (d.a > r_iv.b or d.b <= r_iv.a):
+                raise PrecisionExhausted(f"membership of n={mi} undecidable at radius {radius}")
+            outside.append(d.a > r_iv.b)
+        out = shell[np.asarray(outside, dtype=bool)]
         m, dx, dy = np.delete(m, out), np.delete(dx, out), np.delete(dy, out)
     offsets = np.column_stack([dx * ex - dy * ey, dx * ey + dy * ex])
     # the recentered center itself is exactly the origin, not -0.0
     offsets[m == n_center] = 0.0
     center = (_mid(cx_iv), _mid(cy_iv))  # as spiral_point(alpha, n_center, prec) exports it
-    win = IndexWindow(center=center, radius=radius, indices=m, n_min=n_min)
+    win = IndexWindow(center=center, indices=m)
     return win, offsets, np.full(len(m), err)
 
 
@@ -424,13 +377,7 @@ def nearest_neighbor(alpha: AngleSpec, n: int, *, n_min: int = 1):
     if len(near) > 1:
         prec = _window_prec(math.sqrt(float(n)), r0)
         x0, y0, _ = _position_iv(alpha, n, prec)
-        dists = []
-        with _iv_prec(prec):
-            for m in near.tolist():
-                xi, yi, _ = _position_iv(alpha, m, prec)
-                dx, dy = xi - x0, yi - y0
-                dist = iv.sqrt(_iv_abs_square(dx) + _iv_abs_square(dy))
-                dists.append((mp.mpf(dist.a), m))
-        dists.sort(key=lambda t: (t[0], t[1]))
-        return int(dists[0][1]), float(dists[0][0])
+        near = near.tolist()
+        d, m = min(zip((mp.mpf(d.a) for d in _iv_distances(alpha, near, x0, y0, prec)), near))
+        return int(m), float(d)
     return int(ms[best]), best_d

@@ -135,6 +135,37 @@ def test_delta_rejects_nan_patch_row(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["empty csv", "short row", "sidecar without radius",
+                                  "empty manifest"])
+def test_malformed_input_is_an_error_line(tmp_path, capsys, case):
+    """Malformed patch files and manifests exit 2 with an error line naming
+    the file, never with a traceback."""
+    ok = tmp_path / "ok"
+    assert run(["patch", "--alpha", "quad:1,1,2,5", "--center-index", 2000,
+                "--window", 6, "--out", ok]) == 0
+    bad = tmp_path / "bad.csv"
+    args = ["delta", "--a", bad, "--b", ok / "patch.csv", "--out", tmp_path / "delta"]
+    if case == "empty csv":
+        bad.write_text("")
+        args += ["--a-window", 8, "--b-window", 8]
+    elif case == "short row":
+        bad.write_text((ok / "patch.csv").read_text() + "1999,3.0\n")
+        args += ["--a-window", 6]
+    elif case == "sidecar without radius":
+        bad.write_text((ok / "patch.csv").read_text())
+        bad = bad.with_suffix(".json")
+        bad.write_text("{}\n")
+    else:
+        (tmp_path / "manifest.json").write_text("{}\n")
+        bad = tmp_path / "manifest.json"
+        args = ["report", "--run", tmp_path, "--out", tmp_path / "rep"]
+    capsys.readouterr()
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
+
+
 def test_exit_codes(tmp_path):
     assert run(["cf", "--alpha", "rat:1/0", "--count", 5,
                 "--out", tmp_path / "bad"]) == 2

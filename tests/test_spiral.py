@@ -21,7 +21,6 @@ from spirallimits import spiral
 from spirallimits.number_theory import convergents, parse_angle
 from spirallimits.spiral import (
     angle_fraction,
-    indices_in_ball,
     nearest_neighbor,
     offset_between,
     recentered_window,
@@ -129,20 +128,13 @@ def test_consecutive_angle_rotation():
 
 # --- windows -----------------------------------------------------------------
 
-def test_ball_at_origin_is_index_range():
-    w = indices_in_ball(GOLDEN, (0.0, 0.0), 100.0)
-    assert len(w) == 10000
-    assert w.indices[0] == 1 and w.indices[-1] == 10000
-
-
-def test_ball_radius_validation():
+def test_window_rejects_bad_radius_center_and_oversized_box():
     with pytest.raises(InvalidSpec):
-        indices_in_ball(GOLDEN, (0.0, 0.0), 0.0)
-
-
-def test_ball_too_large():
+        recentered_window(GOLDEN, 100, 0.0)
+    with pytest.raises(InvalidSpec):
+        recentered_window(GOLDEN, 0, 1.0)
     with pytest.raises(WindowTooLarge):
-        indices_in_ball(GOLDEN, (0.0, 0.0), 10**6)
+        recentered_window(GOLDEN, 10**12, 10**4)
 
 
 def test_window_completeness_brute_force():
@@ -177,15 +169,6 @@ def test_window_annulus_bound_invariant():
     assert all((r - 5) ** 2 <= n <= (r + 5) ** 2 for n in win.indices)
 
 
-def test_ball_at_float_center_matches_recentered():
-    """A ball at the float position of x_n finds the same indices."""
-    n_c = 10**6
-    p = spiral_point(GOLDEN, n_c)
-    w1 = indices_in_ball(GOLDEN, (p.x, p.y), 10.0 - 1e-6)
-    win, _, _ = recentered_window(GOLDEN, n_c, 10.0 - 1e-6)
-    assert np.array_equal(w1.indices, win.indices)
-
-
 @pytest.mark.parametrize("spec", ("rat:13/21",) + IRRATIONAL_SPECS + (COARSE,))
 def test_window_center_is_the_exported_spiral_point(spec):
     """The window's one center evaluation exports the center as spiral_point
@@ -195,30 +178,6 @@ def test_window_center_is_the_exported_spiral_point(spec):
         win, _, _ = recentered_window(alpha, n, radius, n_min=0)
         p = spiral_point(alpha, n, spiral._window_prec(math.sqrt(float(n)), radius))
         assert win.center == (p.x, p.y)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    spec=st.sampled_from(("rat:13/21",) + IRRATIONAL_SPECS),
-    n=st.integers(2, 10**9),
-    shift=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
-    radius=st.floats(0.5, 6.0),
-)
-def test_ball_off_center_matches_window_offsets(spec, n, shift, radius):
-    """A ball anywhere near x_n holds the window points within its radius."""
-    alpha = parse_angle(spec)
-    vx, vy = shift
-    win, offsets, _ = recentered_window(alpha, n, radius + math.hypot(vx, vy) + 1e-6)
-    d = np.hypot(offsets[:, 0] - vx, offsets[:, 1] - vy)
-    knife = set(win.indices[np.abs(d - radius) <= 1e-7].tolist())
-    p = spiral_point(alpha, n)
-    try:
-        ball = indices_in_ball(alpha, (p.x + vx, p.y + vy), radius)
-    except PrecisionExhausted:
-        assert knife
-        return
-    want = set(win.indices[d <= radius].tolist())
-    assert set(ball.indices.tolist()) - knife == want - knife
 
 
 def _window_case(spec):
@@ -292,19 +251,19 @@ def test_window_mpmath_work_is_fixed(monkeypatch):
     """Apart from boundary points, mpmath runs a fixed number of times per
     window whatever its point count; a knife-edge point alone goes to the
     interval check."""
-    calls = {"_position_iv": 0, "_certify_members": []}
-    position_iv, certify = spiral._position_iv, spiral._certify_members
+    calls = {"_position_iv": 0, "_iv_distances": []}
+    position_iv, iv_distances = spiral._position_iv, spiral._iv_distances
 
     def counted_position(*args):
         calls["_position_iv"] += 1
         return position_iv(*args)
 
-    def counted_certify(alpha, candidates, *args):
-        calls["_certify_members"].extend(candidates.tolist())
-        return certify(alpha, candidates, *args)
+    def counted_distances(alpha, ms, *args):
+        calls["_iv_distances"].extend(ms)
+        return iv_distances(alpha, ms, *args)
 
     monkeypatch.setattr(spiral, "_position_iv", counted_position)
-    monkeypatch.setattr(spiral, "_certify_members", counted_certify)
+    monkeypatch.setattr(spiral, "_iv_distances", counted_distances)
     sizes = []
     for n, radius in ((10**6, 2.0), (10**6, 16.0), (10**15 + 777, 16.0)):
         calls["_position_iv"] = 0
@@ -312,11 +271,11 @@ def test_window_mpmath_work_is_fixed(monkeypatch):
         sizes.append(len(win))
         assert calls["_position_iv"] == 1
     assert sizes[0] < 10 < 200 < min(sizes[1:])
-    assert calls["_certify_members"] == []
+    assert calls["_iv_distances"] == []
     # |x_16 - x_0| = 4 exactly: only index 16 is sent to intervals, which cannot decide it
     with pytest.raises(PrecisionExhausted):
         recentered_window(SQRT2, 0, 4.0, n_min=0)
-    assert calls["_certify_members"] == [16]
+    assert calls["_iv_distances"] == [16]
 
 
 @pytest.mark.parametrize("spec", IRRATIONAL_SPECS)
@@ -373,6 +332,26 @@ def test_nn_offset_samples_are_denominators():
         for n in rng.integers(1000, 100000, 20):
             m, _ = nearest_neighbor(alpha, int(n))
             assert abs(int(n) - m) in qs
+
+
+@pytest.mark.parametrize("n", [10**8, 10**12])
+def test_nn_tie_break_settles_in_intervals(n, monkeypatch):
+    """On the ray of alpha = 1/2 the distances to x_{n-2} and x_{n+2} differ
+    by about 1/n^1.5, inside the float tie band: both go to the interval
+    distance, which picks n + 2."""
+    calls = []
+    iv_distances = spiral._iv_distances
+
+    def counted_distances(alpha, ms, *args):
+        calls.extend(ms)
+        return iv_distances(alpha, ms, *args)
+
+    monkeypatch.setattr(spiral, "_iv_distances", counted_distances)
+    m, d = nearest_neighbor(RationalAngle(1, 2), n)
+    assert m == n + 2
+    want = 2 / (math.sqrt(n + 2) + math.sqrt(n))
+    assert abs(d - want) <= 1e-15 * want
+    assert sorted(calls) == [n - 2, n + 2]
 
 
 def test_coarse_literal_nearest_neighbor_raises():

@@ -101,3 +101,34 @@ def test_nearest_neighbour_detector_sees_every_form():
         "    return t.query(q, k=1), query(q), sp.cKDTree(q).query(q)\n"
     )
     assert nearest_neighbour_uses(ast.parse(code)) == [1, 2, 3, 6, 6]
+
+
+def abs_square_callers(tree):
+    """(line, enclosing top-level function) of each ``_iv_abs_square`` call."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_iv_abs_square"):
+                found.append((node.lineno, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_interval_distance_only_in_one_helper():
+    """``spiral._iv_distances`` is the one interval distance: the window's
+    boundary check and the nearest-neighbour tie-break both call it, and no
+    other code squares interval coordinates."""
+    source = (Path(spirallimits.__file__).parent / "spiral.py").read_text()
+    callers = abs_square_callers(ast.parse(source))
+    assert callers and {name for _, name in callers} == {"_iv_distances"}
+
+
+def test_abs_square_detector_sees_every_form():
+    code = (
+        "x = _iv_abs_square(v)\n"
+        "def f(a):\n"
+        "    def g(b):\n"
+        "        return _iv_abs_square(b)\n"
+        "    return [_iv_abs_square(c) for c in a]\n"
+    )
+    assert abs_square_callers(ast.parse(code)) == [(1, "<module>"), (4, "f"), (5, "f")]
