@@ -135,12 +135,8 @@ def _thresholds(own: np.ndarray, other: Patch) -> np.ndarray:
     return np.minimum(np.minimum(other.nearest(own), escape), other.window_radius - norms)
 
 
-def delta(a: Patch, b: Patch, *, strict: bool = False) -> DeltaResult:
-    """Delta(A, B) = max(0, max over p in A u B of min(nn(p), 1/|p|, W_other - |p|)).
-
-    With ``strict`` every uncertified result raises WindowTooSmall instead
-    of being returned.
-    """
+def delta(a: Patch, b: Patch) -> DeltaResult:
+    """Delta(A, B) = max(0, max over p in A u B of min(nn(p), 1/|p|, W_other - |p|))."""
     min_w = min(a.window_radius, b.window_radius)
     if min_w <= 1:
         raise WindowTooSmall("nothing is certifiable with window radius <= 1")
@@ -151,9 +147,6 @@ def delta(a: Patch, b: Patch, *, strict: bool = False) -> DeltaResult:
     err = a.max_error + b.max_error
     lower = max(0.0, value - err)
     certified = lower > 0 and (1.0 / lower + lower) <= min_w
-    if strict and not certified:
-        need = f"window radius >= {1.0 / lower + lower:.6g}" if lower > 0 else "lower bound > 0"
-        raise WindowTooSmall(f"delta={value:.6g} needs {need} to certify, have {min_w:.6g}")
     return DeltaResult(value, lower, value + err, min_w, certified)
 
 
@@ -161,38 +154,3 @@ def chabauty_distance(a: Patch, b: Patch) -> float:
     """d(A, B) = min(1, Delta(A, B))."""
     res = delta(a, b)
     return min(1.0, res.value)
-
-
-@dataclass(frozen=True)
-class CauchyReport:
-    """Convergence diagnostics for a sequence of patches."""
-
-    distances: list
-    monotone_nonincreasing: bool
-    tail_max: float
-    tol: float
-    converged: bool
-
-
-def cauchy_report(patches, tol: float) -> CauchyReport:
-    """Successive Chabauty distances with a tail-based convergence verdict."""
-    patches = list(patches)
-    if len(patches) < 3:
-        raise InvalidSpec("need at least 3 patches")
-    w = patches[0].window_radius
-    for p in patches[1:]:
-        if abs(p.window_radius - w) > 1e-12:
-            raise InvalidSpec("patches must share a window radius")
-    dists = [
-        chabauty_distance(patches[i], patches[i + 1]) for i in range(len(patches) - 1)
-    ]
-    tail = max(1, len(dists) // 3)
-    tail_max = max(dists[-tail:])
-    monotone = all(dists[i + 1] <= dists[i] for i in range(len(dists) - 1))
-    return CauchyReport(
-        distances=dists,
-        monotone_nonincreasing=monotone,
-        tail_max=tail_max,
-        tol=tol,
-        converged=tail_max < tol,
-    )

@@ -122,7 +122,15 @@ def _read_patch(path: Path, window: float | None) -> Patch:
         meta = json.loads(meta_path.read_text())
         if not isinstance(meta, dict) or "window_radius" not in meta:
             raise SpiralLimitsError(f"{meta_path} has no window_radius; pass --a/b-window")
-        w = float(meta["window_radius"])
+        radius = meta["window_radius"]
+        # a JSON number, or the 17-digit decimal string a patch sidecar holds
+        if isinstance(radius, (int, float, str)) and not isinstance(radius, bool):
+            try:
+                w = float(radius)
+            except (ValueError, OverflowError):
+                pass
+        if w is None or not math.isfinite(w):
+            raise SpiralLimitsError(f"{meta_path}: window_radius {radius!r} is not a finite number")
     if w is None:
         raise SpiralLimitsError(f"no window radius for {path}; pass --a/b-window")
     rows = path.read_text().strip().splitlines()
@@ -374,20 +382,32 @@ def _cmd_report(args, out: Path):
     for key in ("command", "tool_version"):
         if not isinstance(manifest, dict) or key not in manifest:
             raise SpiralLimitsError(f"{manifest_path} has no {key} key")
+    params = manifest.get("params", {})
+    outputs = manifest.get("outputs", [])
+    result = manifest.get("result", {})
+    for key, value in (("params", params), ("result", result)):
+        if not isinstance(value, dict):
+            raise SpiralLimitsError(f"{manifest_path}: {key} is not an object")
+    if not isinstance(outputs, list) or not all(isinstance(v, str) for v in outputs):
+        raise SpiralLimitsError(f"{manifest_path}: outputs is not a list of strings")
+    root = run.resolve()
+    for name in outputs:
+        if not (run / name).resolve().is_relative_to(root):
+            raise SpiralLimitsError(f"{manifest_path}: output {name!r} lies outside {run}")
     lines = [
         f"run: {manifest['command']}",
         f"tool version: {manifest['tool_version']}",
         f"alpha: {manifest.get('alpha', 'n/a')}",
         "parameters:",
     ]
-    for k, v in sorted(manifest.get("params", {}).items()):
+    for k, v in sorted(params.items()):
         lines.append(f"  {k} = {v}")
     lines.append("outputs:")
-    for name in manifest.get("outputs", []):
+    for name in outputs:
         p = run / name
         status = f"{p.stat().st_size} bytes" if p.exists() else "MISSING"
         lines.append(f"  {name}: {status}")
-    for k, v in sorted(manifest.get("result", {}).items()):
+    for k, v in sorted(result.items()):
         lines.append(f"result {k}: {v}")
     text = "\n".join(lines) + "\n"
     (out / "report.txt").write_text(text)

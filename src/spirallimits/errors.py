@@ -32,11 +32,6 @@ class DegenerateBasis(SpiralLimitsError):
 class NotALattice(SpiralLimitsError):
     """A patch failed the two-sided lattice fit check."""
 
-    def __init__(self, message, residual=None, missing=None):
-        super().__init__(message)
-        self.residual = residual
-        self.missing = missing
-
 
 class TooManyPoints(SpiralLimitsError):
     """A plot was requested for more points than the SVG budget allows."""

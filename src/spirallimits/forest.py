@@ -217,45 +217,6 @@ def empty_rectangle_search(patch: Patch, eps: float, length: float) -> Rectangle
     return None
 
 
-@dataclass(frozen=True)
-class VisibilityEntry:
-    eps: float
-    v_hat: float | None
-    probe: RectangleProbe | None
-
-
-def visibility_profile(patch: Patch, eps_list) -> list:
-    """Largest rectangle length found per eps (lower-bound witnesses).
-
-    Widths are processed widest first and witnesses carry down: a rectangle
-    that is empty at width eps stays empty after shrinking to a smaller
-    width, so v_hat is nondecreasing as eps decreases by construction.
-    """
-    results = {}
-    carried = None
-    for eps in sorted({float(e) for e in eps_list}, reverse=True):
-        best = None
-        if eps > patch.window_radius:
-            results[eps] = VisibilityEntry(eps=eps, v_hat=None, probe=None)
-            continue
-        if carried is not None:
-            shrunk = RectangleProbe(carried.center, carried.direction, eps, carried.length)
-            if not shrunk.contains(patch.points).any():
-                best = shrunk
-        v = patch.window_radius
-        floor_v = max(eps, patch.window_radius / 64)
-        while v >= floor_v and (best is None or v > best.length):
-            probe = empty_rectangle_search(patch, eps, v)
-            if probe is not None:
-                best = probe
-                break
-            v /= 2
-        if best is not None:
-            carried = best
-        results[eps] = VisibilityEntry(eps=eps, v_hat=best.length if best else None, probe=best)
-    return [results[float(e)] for e in eps_list]
-
-
 # ---------------------------------------------------------------------------
 # far-field search over a spiral disk
 # ---------------------------------------------------------------------------

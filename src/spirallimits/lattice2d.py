@@ -149,8 +149,6 @@ def same_lattice(b1: Basis2, b2: Basis2, tol: float) -> SameLatticeResult:
 class LatticeFit:
     basis: ReducedBasis2
     residual: float
-    matched_points: int
-    matched_lattice: int
 
 
 def fit_lattice(patch: Patch, tol: float = FIT_TOL) -> LatticeFit:
@@ -219,20 +217,12 @@ def fit_lattice(patch: Patch, tol: float = FIT_TOL) -> LatticeFit:
             basis, residual = refined, refined_residual
     if residual >= tol:
         raise NotALattice(
-            f"patch deviates from the fitted lattice by {residual:.4g} (tol {tol})",
-            residual=residual,
+            f"patch deviates from the fitted lattice by {residual:.4g} (tol {tol})"
         )
     ball = lattice_ball(basis, w - tol)
     missing = int((patch.nearest(ball.points) > tol).sum())
     if missing:
         raise NotALattice(
-            f"{missing} lattice points in B_{w - tol:.3g} unmatched by the patch",
-            residual=residual,
-            missing=missing,
+            f"{missing} lattice points in B_{w - tol:.3g} unmatched by the patch"
         )
-    return LatticeFit(
-        basis=basis,
-        residual=residual,
-        matched_points=int(inner.sum()),
-        matched_lattice=len(ball),
-    )
+    return LatticeFit(basis=basis, residual=residual)

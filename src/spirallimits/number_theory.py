@@ -182,16 +182,6 @@ class AngleSpec:
     verdict = "unknown"  # badly_approx_profile's type-level verdict
     beta_mode = "finite_ratio"  # how center_indices takes beta
 
-    def enclosure(self, prec: int) -> "AngleEnclosure":
-        x = self.interval(prec)
-        lo, hi = mp.mpf(x.a), mp.mpf(x.b)
-        width = hi - lo
-        if width > mp.mpf(2) ** (-prec):
-            raise PrecisionExhausted(
-                f"cannot enclose {self.canonical()} to 2^-{prec}: width {width}"
-            )
-        return AngleEnclosure(lower=lo, upper=hi, width=width)
-
     def interval(self, prec: int):
         """Certified enclosure of the angle as an iv.mpf at the given precision."""
         return self.value.interval(prec)
@@ -360,15 +350,6 @@ class DecimalAngle(AngleSpec):
 
     def canonical(self) -> str:
         return f"dec:{self.digits}@{self.precision}"
-
-
-@dataclass(frozen=True)
-class AngleEnclosure:
-    """Certified two-sided enclosure lower <= alpha <= upper."""
-
-    lower: object
-    upper: object
-    width: object
 
 
 def parse_angle(text: str) -> AngleSpec:
@@ -590,9 +571,9 @@ class TripletSample:
         return float(self.beta), float(self.c), float(self.ctilde)
 
 
-def _triplet_prec(alpha: AngleSpec, q_next: int, prec: int | None) -> int:
+def _triplet_prec(alpha: AngleSpec, q_next: int) -> int:
     # the 2*bits(q)+64 floor leaves no room for outward-rounding ulps; pad
-    return max(2 * q_next.bit_length() + 96, prec or 0, alpha.precision)
+    return max(2 * q_next.bit_length() + 96, alpha.precision)
 
 
 def _midpoints(ivs, prec: int):
@@ -602,13 +583,13 @@ def _midpoints(ivs, prec: int):
         return [(mp.mpf(x.a) + mp.mpf(x.b)) / 2 for x in ivs], err
 
 
-def triplet(alpha: AngleSpec, j: int, prec: int | None = None) -> TripletSample:
+def triplet(alpha: AngleSpec, j: int) -> TripletSample:
     """Certified triplet sample at index j (needs convergents j and j+1)."""
     convs = convergents(alpha, j + 1)
     if len(convs) < j + 1:
         raise InvalidSpec(f"expansion of {alpha.canonical()} ends before j={j + 1}")
     cj, cj1 = convs[j - 1], convs[j]
-    working = _triplet_prec(alpha, cj1.q, prec)
+    working = _triplet_prec(alpha, cj1.q)
     c = alpha.residue(cj.p, cj.q) * cj.q
     ct = alpha.residue(cj1.p, cj1.q) * cj1.q
     (beta_m, c_m, ct_m), err = _midpoints(
@@ -628,7 +609,6 @@ class IdentityRecord:
     residual: float
     residual_bound: float
     sign_product_negative: bool
-    exact: bool
 
 
 @dataclass(frozen=True)
@@ -657,14 +637,14 @@ def verify_cf_identities(alpha: AngleSpec, j_range) -> IdentityReport:
         r_j, r_j1 = alpha.residue(cj.p, cj.q), alpha.residue(cj1.p, cj1.q)
         s_j, s_j1 = r_j.sign(), r_j1.sign()
         total = r_j1 * (cj.q * s_j1) + r_j * (cj1.q * s_j) - 1
-        v = total.interval(_triplet_prec(alpha, cj1.q, None))
+        v = total.interval(_triplet_prec(alpha, cj1.q))
         bound = float(max(abs(mp.mpf(v.a)), abs(mp.mpf(v.b))))
         if not alpha.is_exact and bound >= 2.0**-80:
             raise PrecisionExhausted(
                 f"identity residual at j={j} certified only to {bound:.3e}"
             )
         mid = abs(float((mp.mpf(v.a) + mp.mpf(v.b)) / 2))
-        records.append(IdentityRecord(j, mid, bound, s_j * s_j1 < 0, alpha.is_exact))
+        records.append(IdentityRecord(j, mid, bound, s_j * s_j1 < 0))
     certified = all(r.residual_bound < 2.0**-80 and r.sign_product_negative for r in records)
     return IdentityReport(
         records=records,

@@ -34,6 +34,7 @@ _FILTER_SLACK = 1e-6  # box margin past the radius, so the box bounds' rounding 
 _MAX_WINDOW_POINTS = 4_000_000  # output budget: lattice points a window box may enumerate
 _U = 2.0**-53  # unit roundoff of float64
 _LIBM_ULPS = 8  # allowed error of numpy sin and cos, checked by the differential test
+_INDEX_LIMIT = 2**63  # window indices are int64
 
 
 def default_prec(n: int) -> int:
@@ -72,10 +73,6 @@ class SpiralPoint:
     x: float
     y: float
     error_bound: float
-
-    @property
-    def position(self):
-        return (self.x, self.y)
 
 
 def _position_iv(alpha: AngleSpec, n: int, prec: int):
@@ -205,11 +202,17 @@ def _candidates(alpha: AngleSpec, n0: int, radius: float, n_min: int):
     turns, rc = sqrt(n0).  Returns m (unsorted; a half-turn box can list an
     index twice), the offsets x_m - x_{n0} in the frame rotated to the
     center's angle, their length, and a bound on the Euclidean error of the
-    offsets and of that length where it is within one of the radius.
+    offsets and of that length where it is within one of the radius.  Raises
+    InvalidSpec when the box reaches index 2^63.
     """
     rc = math.sqrt(n0)
     w = radius + _FILTER_SLACK
     k_max = math.ceil(w * (2 * rc + w)) + 1
+    if n0 + k_max >= _INDEX_LIMIT:
+        raise InvalidSpec(
+            f"window of radius {radius:g} about n={n0} reaches index {n0 + k_max}, "
+            f"past the int64 limit 2^63"
+        )
     half_turns = min(0.5, w / (4 * (rc - w))) if rc > w else 0.5
     k, turns, gap_err = _lattice_box(alpha, k_max, half_turns)
     m = k + n0
@@ -344,25 +347,23 @@ def offset_between(alpha: AngleSpec, m: int, n: int, prec: int | None = None):
 # nearest neighbours
 # ---------------------------------------------------------------------------
 
-def nearest_neighbor(alpha: AngleSpec, n: int, *, n_min: int = 1):
+def nearest_neighbor(alpha: AngleSpec, n: int):
     """Nearest neighbour of x_n: a radius query on the window enumerator.
 
-    Returns (m, distance) minimizing |x_m - x_n| over m != n, m >= n_min;
+    Returns (m, distance) minimizing |x_m - x_n| over m != n, m >= 1;
     ties break toward smaller m.  The query radius is the distance to
     x_{n-q} for the largest convergent denominator q <= sqrt(n), an upper
     bound that keeps every possible competitor.  Raises PrecisionExhausted
     when the window's error bound exceeds 1e-9 (a decimal literal too coarse
     for n).
     """
-    if n < max(2, n_min + 1):
+    if n < 2:
         raise InvalidSpec("need an index with at least one smaller-index competitor")
-    q = largest_denominator_at_most(alpha, max(1, math.isqrt(n))).q
-    if n - q < n_min:
-        q = 1
+    q = largest_denominator_at_most(alpha, math.isqrt(n)).q
     p0 = spiral_point(alpha, n)
     p1 = spiral_point(alpha, n - q)
     r0 = math.hypot(p0.x - p1.x, p0.y - p1.y) * (1 + 1e-12) + 1e-9
-    ms, _, _, dist, err = _candidates(alpha, n, r0, n_min)
+    ms, _, _, dist, err = _candidates(alpha, n, r0, 1)
     # float distances within err of the truth keep every competitor of the
     # winner inside the 2e-9 tie band below; a coarse literal's err does not
     if err > 1e-9:

@@ -166,6 +166,59 @@ def test_malformed_input_is_an_error_line(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("radius", ["null", "[8]", "{}", "true", '"eight"', "1e999"])
+def test_sidecar_radius_must_be_a_finite_number(tmp_path, capsys, radius):
+    """A sidecar window_radius that is not a finite number (bool included)
+    exits 2 with an error line naming the sidecar, not a TypeError traceback."""
+    ok = tmp_path / "ok"
+    assert run(["patch", "--alpha", "quad:1,1,2,5", "--center-index", 2000,
+                "--window", 6, "--out", ok]) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_text((ok / "patch.csv").read_text())
+    sidecar = bad.with_suffix(".json")
+    sidecar.write_text(f'{{"window_radius": {radius}}}\n')
+    capsys.readouterr()
+    assert run(["delta", "--a", bad, "--b", ok / "patch.csv", "--out", tmp_path / "delta"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(sidecar) in err
+    # a JSON number is read as well as the decimal string the patch sidecar holds
+    sidecar.write_text('{"window_radius": 6}\n')
+    assert run(["delta", "--a", bad, "--b", ok / "patch.csv", "--out", tmp_path / "delta"]) == 0
+
+
+@pytest.mark.parametrize("case", ["params list", "result number", "outputs string",
+                                  "outputs number", "output above run", "output absolute"])
+def test_report_checks_the_manifest(tmp_path, capsys, case):
+    """``report`` checks the types of params, result and outputs, and refuses an
+    output path outside the run directory instead of reading its size."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not part of the run\n")
+    extra = {
+        "params list": {"params": []},
+        "result number": {"result": 5},
+        "outputs string": {"outputs": "patch.csv"},
+        "outputs number": {"outputs": [3]},
+        "output above run": {"outputs": ["../outside.txt"]},
+        "output absolute": {"outputs": [str(outside)]},
+    }[case]
+    manifest = run_dir / "manifest.json"
+    manifest.write_text(json.dumps({"command": "cf", "tool_version": "0", **extra}))
+    capsys.readouterr()
+    assert run(["report", "--run", run_dir, "--out", tmp_path / "rep"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(manifest) in captured.err
+    assert "bytes" not in captured.out
+
+
+def test_index_past_int64_is_an_error_line(tmp_path, capsys):
+    assert run(["patch", "--alpha", "quad:1,1,2,5", "--center-index", 10**19,
+                "--window", 8, "--out", tmp_path / "p"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2^63" in err
+
+
 def test_exit_codes(tmp_path):
     assert run(["cf", "--alpha", "rat:1/0", "--count", 5,
                 "--out", tmp_path / "bad"]) == 2

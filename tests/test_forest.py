@@ -13,7 +13,6 @@ from spirallimits.forest import (
     density_ratio,
     empty_rectangle_search,
     spiral_empty_rectangle_search,
-    visibility_profile,
 )
 from spirallimits.lattice2d import Basis2, lattice_ball
 from spirallimits.limits import empirical_limit_patch
@@ -187,21 +186,3 @@ def test_spiral_witness_rational_half_strip():
     w = spiral_empty_rectangle_search(RationalAngle(1, 2), 500.0, 0.2, 30.0)
     assert w is not None
     assert not w.local_probe.contains(w.patch.points).any()
-
-
-def test_visibility_profile_monotone():
-    patch = z2_patch(12.0)
-    prof = visibility_profile(patch, [0.9, 0.5, 0.25])
-    found = [e.v_hat for e in prof]
-    assert all(v is not None for v in found)
-    # narrower strips admit rectangles at least as long
-    assert found[2] >= found[1] >= found[0]
-
-
-def test_visibility_profile_records_witnesses():
-    patch = z2_patch(12.0)
-    prof = visibility_profile(patch, [0.5])
-    e = prof[0]
-    assert e.probe is not None
-    assert not e.probe.contains(patch.points).any()
-    assert e.probe.width == 0.5

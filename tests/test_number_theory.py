@@ -313,14 +313,6 @@ def test_parse_angle_roundtrip():
         assert parse_angle(text).canonical() == text
 
 
-def test_enclosure_widths():
-    enc = GOLDEN.enclosure(128)
-    assert float(enc.width) <= 2.0**-128
-    assert float(enc.lower) <= (1 + math.sqrt(5)) / 2 <= float(enc.upper)
-    with pytest.raises(PrecisionExhausted):
-        DecimalAngle("1.618", 64).enclosure(64)
-
-
 def test_decimal_expansion_precision_exhausted():
     with pytest.raises(PrecisionExhausted):
         expand_cf(DecimalAngle("1.618034", 64), 30)

@@ -294,6 +294,26 @@ def test_deep_windows_certify(spec, n):
         assert math.hypot(x - offsets[i, 0], y - offsets[i, 1]) <= errs[i] + err
 
 
+def test_windows_stop_at_the_int64_limit():
+    """Window indices are int64.  A window reaching index 2^63 raises naming
+    n, W and the limit: at 2^63 - 1000 the indices above the center used to
+    wrap negative and drop out (33 points, all at or below the center), and
+    from 2^63 on numpy raised OverflowError.  A window at 2^62 still returns
+    points on both sides of the center, matching the interval oracle."""
+    for n in (2**63 - 1000, 2**63):
+        with pytest.raises(InvalidSpec, match=f"radius 8 about n={n} .* 2\\^63"):
+            recentered_window(GOLDEN, n, 8.0)
+    with pytest.raises(InvalidSpec, match=f"n={2**63 + 5} .* 2\\^63"):
+        nearest_neighbor(GOLDEN, 2**63 + 5)
+    n = 2**62
+    win, offsets, errs = recentered_window(GOLDEN, n, 8.0)
+    assert len(win) > 48  # about W^2 = 64 points
+    assert (win.indices < n).any() and (win.indices > n).any()
+    for i in (0, len(win) // 2, len(win) - 1):
+        x, y, err = offset_between(GOLDEN, int(win.indices[i]), n)
+        assert math.hypot(x - offsets[i, 0], y - offsets[i, 1]) <= errs[i] + err
+
+
 # --- nearest neighbours -------------------------------------------------------
 
 def test_nn_rational_ray():
