@@ -103,8 +103,19 @@ def _parse_range(text: str):
     return range(int(lo), int(hi) + 1)
 
 
+def finite(text: str) -> float:
+    """A finite float: the type of every float option and list entry.
+
+    argparse names the type in its message: "invalid finite value: 'inf'".
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_floats(text: str):
-    return [float(x) for x in text.split(",") if x]
+    return [finite(x) for x in text.split(",") if x]
 
 
 def _patch_csv(path: Path, win, offsets, errs) -> None:
@@ -460,46 +471,46 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("patch", help="recentered complete window")
     p.add_argument("--alpha", required=True)
     p.add_argument("--center-index", type=int, required=True)
-    p.add_argument("--window", type=float, required=True)
+    p.add_argument("--window", type=finite, required=True)
     p.add_argument("--n-min", type=int, default=1)
 
     p = add("delta", help="Chabauty distance between two patch CSVs")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--a-window", type=float, default=None)
-    p.add_argument("--b-window", type=float, default=None)
+    p.add_argument("--a-window", type=finite, default=None)
+    p.add_argument("--b-window", type=finite, default=None)
 
     for name in ("predict", "compare-forms"):
         p = add(name, help="closed-form limit lattice prediction")
         p.add_argument("--alpha", required=True)
-        p.add_argument("--t", type=float, required=True)
-        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--t", type=finite, required=True)
+        p.add_argument("--theta", type=finite, required=True)
         p.add_argument("--j", type=int, default=1, help="subsequence class index")
         if name == "predict":
             p.add_argument("--form", choices=["proof", "theorem", "both"], default="both")
         else:
-            p.add_argument("--tol", type=float, default=FIT_TOL)
+            p.add_argument("--tol", type=finite, default=FIT_TOL)
 
     p = add("empirical", help="empirical windows vs predictions per j")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=finite, required=True)
     p.add_argument("--j", required=True, help="range lo:hi")
-    p.add_argument("--window", type=float, required=True)
-    p.add_argument("--tol", type=float, default=FIT_TOL)
+    p.add_argument("--window", type=finite, required=True)
+    p.add_argument("--tol", type=finite, default=FIT_TOL)
     p.add_argument("--finite-beta", action="store_true")
 
     p = add("orbit", help="rotation-orbit lattice matches at n_j + b")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=finite, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--b", required=True, help="range lo:hi")
-    p.add_argument("--window", type=float, required=True)
-    p.add_argument("--tol", type=float, default=FIT_TOL)
+    p.add_argument("--window", type=finite, required=True)
+    p.add_argument("--tol", type=finite, default=FIT_TOL)
 
     p = add("forest", help="empty-rectangle witnesses in a spiral disk")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--window-radius", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--window-radius", type=finite, required=True)
+    p.add_argument("--eps", type=finite, required=True)
     p.add_argument("--lengths", required=True, help="comma list, e.g. 10,20,40")
     p.add_argument("--n-min", type=int, default=1)
 
@@ -511,8 +522,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("delone", help="packing/covering constants of a window")
     p.add_argument("--alpha", required=True)
     p.add_argument("--center-index", type=int, required=True)
-    p.add_argument("--window", type=float, required=True)
-    p.add_argument("--grid-step", type=float, default=0.05)
+    p.add_argument("--window", type=finite, required=True)
+    p.add_argument("--grid-step", type=finite, default=0.05)
 
     p = add("report", help="summarize a run directory")
     p.add_argument("--run", required=True)

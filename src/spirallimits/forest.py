@@ -2,7 +2,8 @@
 
 The empty-rectangle search is witness-producing and one-sided: a returned
 probe verifiably contains no window point, while "none" only means the search
-exhausted its resolution, never that the set is a dense forest.
+exhausted its resolution, never that the set is a dense forest.  The search
+fits no lattice and queries no nearest-neighbour tree, so it needs no scipy.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chabauty_metric import Patch
-from .errors import InvalidSpec, NotALattice, WindowTooLarge
-from .lattice2d import fit_lattice
+from .errors import InvalidSpec, WindowTooLarge
 from .number_theory import AngleSpec
 from .spiral import recentered_window
 
@@ -31,10 +31,10 @@ RIM_WINDOWS = 8
 # ---------------------------------------------------------------------------
 
 def density_ratio(alpha: AngleSpec, r: float, n_min: int = 1) -> float:
-    """#(B_r(0) cap X) / r^2; independent of alpha since |x_n| = sqrt(n)."""
-    if r < 1:
-        raise InvalidSpec("radius must be >= 1")
-    count = math.floor(Fraction(r) ** 2) - n_min + 1
+    """#(B_r(0) cap X) / r^2, X indexed from max(n_min, 0); |x_n| = sqrt(n)."""
+    if not 1 <= r < math.inf:
+        raise InvalidSpec("radius must be finite and >= 1")
+    count = max(0, math.floor(Fraction(r) ** 2) - max(n_min, 0) + 1)
     return count / float(r) ** 2
 
 
@@ -131,19 +131,6 @@ class RectangleProbe:
         return float(np.maximum(du, dw).min()) if len(rel) else math.inf
 
 
-def _lattice_directions(patch: Patch):
-    """Sparse directions of the local lattice, when one fits."""
-    try:
-        fit = fit_lattice(patch)
-    except (NotALattice, InvalidSpec):
-        return []
-    v1, v2 = fit.basis.v1, fit.basis.v2
-    dirs = []
-    for v in (v1, v2, v1 + v2, v1 - v2):
-        dirs.append(math.atan2(v[1], v[0]) % math.pi)
-    return sorted(set(dirs))
-
-
 def _search_direction(pts, w_radius, eps, length, phi, margin, pad):
     """Gap sweep for one direction; returns a probe or None.
 
@@ -195,11 +182,13 @@ def _search_direction(pts, w_radius, eps, length, phi, margin, pad):
 def empty_rectangle_search(patch: Patch, eps: float, length: float) -> RectangleProbe | None:
     """Search for an empty eps x length rectangle inside the patch window.
 
-    Candidate directions come from a fitted local lattice basis (the sparse
-    directions of the limit lattices) followed by a uniform direction grid;
-    offsets sweep gap midpoints and an eps/4 grid.  Every returned probe is
-    re-verified point by point: each point lies outside it by more than the
-    patch's largest point error.  ``None`` is not a proof of non-existence.
+    Candidate directions are a uniform grid mod pi started along the patch's
+    shortest nonzero point: the rows of a lattice parallel to its shortest
+    vector are the farthest apart, and a collinear window's shortest point
+    lies along its line.  Offsets sweep gap midpoints and an eps/4 grid.
+    Every returned probe is re-verified point by point: each point lies
+    outside it by more than the patch's largest point error.  ``None`` is
+    not a proof of non-existence.
     """
     if eps <= 0 or length <= 0 or eps > length:
         raise InvalidSpec("need 0 < eps <= length")
@@ -208,9 +197,12 @@ def empty_rectangle_search(patch: Patch, eps: float, length: float) -> Rectangle
     pts = patch.points
     step = eps / (2 * length)
     n_dirs = min(MAX_DIRECTIONS, max(4, int(math.ceil(math.pi / step))))
-    grid_dirs = [k * math.pi / n_dirs for k in range(n_dirs)]
+    norms = np.hypot(pts[:, 0], pts[:, 1])
+    x, y = pts[np.argmin(np.where(norms > 0, norms, np.inf))] if len(pts) else (0.0, 0.0)
+    phi0 = math.atan2(y, x) % math.pi  # 0 when no point is nonzero
     pad = patch.max_error
-    for phi in _lattice_directions(patch) + grid_dirs:
+    for k in range(n_dirs):
+        phi = (phi0 + k * math.pi / n_dirs) % math.pi
         probe = _search_direction(pts, patch.window_radius, eps, length, phi, VERIFY_MARGIN, pad)
         if probe is not None:
             return probe
@@ -241,8 +233,8 @@ def spiral_empty_rectangle_search(alpha: AngleSpec, window_radius: float,
     """
     local_r = max(length, length / 2 + eps + 2)
     rim = window_radius - local_r - 1e-9
-    if rim <= 0:
-        raise InvalidSpec("window radius too small for the requested rectangle")
+    if not 0 < rim < math.inf:
+        raise InvalidSpec("window radius not finite or too small for the requested rectangle")
     n_center = int(rim * rim)
     for k in range(RIM_WINDOWS):
         n_c = max(n_min, n_center + k)

@@ -583,8 +583,15 @@ def _midpoints(ivs, prec: int):
         return [(mp.mpf(x.a) + mp.mpf(x.b)) / 2 for x in ivs], err
 
 
+def _check_j(j: int) -> None:
+    """Convergents are numbered from 1; j = 0 would read the last one."""
+    if j < 1:
+        raise InvalidSpec(f"convergent index j={j} is below 1")
+
+
 def triplet(alpha: AngleSpec, j: int) -> TripletSample:
     """Certified triplet sample at index j (needs convergents j and j+1)."""
+    _check_j(j)
     convs = convergents(alpha, j + 1)
     if len(convs) < j + 1:
         raise InvalidSpec(f"expansion of {alpha.canonical()} ends before j={j + 1}")
@@ -628,6 +635,7 @@ def verify_cf_identities(alpha: AngleSpec, j_range) -> IdentityReport:
     js = list(j_range)
     if not js:
         raise InvalidSpec("empty j range")
+    _check_j(min(js))
     convs = convergents(alpha, max(js) + 1)
     if len(convs) < max(js) + 1:
         raise InvalidSpec("expansion ends inside the requested range")
@@ -700,6 +708,7 @@ def convergent_determinant(alpha: AngleSpec, j: int) -> int:
     the alpha terms cancel, so the finite-index co-volume law
     pi |q_j(q~ a - p~) - q~ (q a - p)| = pi is an exact integer identity.
     """
+    _check_j(j)
     convs = convergents(alpha, j + 1)
     if len(convs) < j + 1:
         raise InvalidSpec(f"expansion ends before j={j + 1}")

@@ -294,8 +294,8 @@ def recentered_window(alpha: AngleSpec, n_center: int, radius: float, *,
     PrecisionExhausted when it cannot decide.  The mpmath work is a fixed
     number of evaluations per window plus one per such boundary point.
     """
-    if radius <= 0:
-        raise InvalidSpec("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise InvalidSpec("radius must be positive and finite")
     if n_center < n_min:
         raise InvalidSpec("center index below n_min")
     prec = _window_prec(math.sqrt(float(n_center)), radius)

@@ -261,6 +261,10 @@ TREE_FREE_COMMANDS = [
     ["patch", "--alpha", "quad:1,1,2,5", "--center-index", "1000000", "--window", "8",
      "--out", "patch"],
     ["density", "--alpha", "quad:1,1,2,5", "--r", "1.5,10,250", "--out", "density"],
+    # far enough out that a lattice fit of its local windows would pass and
+    # reach a tree query
+    ["forest", "--alpha", "quad:1,1,2,5", "--window-radius", "2000", "--eps", "0.2",
+     "--lengths", "10", "--out", "forest"],
     ["report", "--run", "patch", "--out", "report"],
 ]
 
@@ -300,6 +304,30 @@ def test_tree_command_without_scipy_is_an_error_line(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "scipy" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["patch", "--alpha", "quad:1,1,2,5", "--center-index", "1000", "--window", "inf"],
+    ["empirical", "--alpha", "quad:1,1,2,5", "--t", "1", "--j", "17:18", "--window", "inf"],
+    ["delone", "--alpha", "quad:1,1,2,5", "--center-index", "1000", "--window", "inf"],
+    ["forest", "--alpha", "quad:1,1,2,5", "--window-radius", "inf", "--eps", "0.2",
+     "--lengths", "10"],
+    ["forest", "--alpha", "quad:1,1,2,5", "--window-radius", "300", "--eps", "0.2",
+     "--lengths", "10,nan"],
+    ["density", "--alpha", "quad:1,1,2,5", "--r", "inf"],
+    ["predict", "--alpha", "quad:1,1,2,5", "--t", "inf", "--theta", "0"],
+    ["compare-forms", "--alpha", "quad:1,1,2,5", "--t", "1", "--theta=-inf"],
+])
+def test_non_finite_float_is_an_error_line(tmp_path, capsys, argv):
+    """A float option or list entry that is not finite exits 2 naming the value."""
+    try:
+        code = run(argv + ["--out", tmp_path / "run"])
+    except SystemExit as exc:  # argparse rejects options before any handler runs
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "finite" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 # --- determinism -----------------------------------------------------------------

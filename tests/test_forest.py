@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spirallimits import GOLDEN, InvalidSpec, RationalAngle
+from spirallimits import GOLDEN, InvalidSpec, RationalAngle, forest
 from spirallimits.chabauty_metric import Patch
 from spirallimits.forest import (
     RectangleProbe,
@@ -16,7 +16,8 @@ from spirallimits.forest import (
 )
 from spirallimits.lattice2d import Basis2, lattice_ball
 from spirallimits.limits import empirical_limit_patch
-from spirallimits.spiral import spiral_point
+from spirallimits.number_theory import parse_angle
+from spirallimits.spiral import recentered_window, spiral_point
 
 
 def z2_patch(radius=10.0):
@@ -40,8 +41,15 @@ def test_density_count_is_integer():
 
 
 def test_density_needs_radius_one():
-    with pytest.raises(InvalidSpec):
-        density_ratio(GOLDEN, 0.5)
+    for r in (0.5, math.inf, math.nan):
+        with pytest.raises(InvalidSpec):
+            density_ratio(GOLDEN, r)
+
+
+def test_density_counts_only_existing_indices():
+    # indices start at 0, and none lie past floor(r^2)
+    assert density_ratio(GOLDEN, 10, -5) == density_ratio(GOLDEN, 10, 0) == 101 / 100
+    assert density_ratio(GOLDEN, 10, 500) == 0.0
 
 
 # --- delone constants --------------------------------------------------------
@@ -152,8 +160,9 @@ def test_probe_within_point_error_moves_to_next_direction(monkeypatch):
 
     monkeypatch.setattr(RectangleProbe, "clearance", within_error)
     probe = empty_rectangle_search(patch, 0.5, 8.0)
-    assert probe == RectangleProbe(center=(0.24999999999999994, -0.25),
-                                   direction=math.pi / 4, width=0.5, length=8.0)
+    # the next of the 101 grid directions for eps = 0.5, V = 8
+    assert probe == RectangleProbe(center=(0.17096650293657145, -5.494680392117385),
+                                   direction=math.pi / 101, width=0.5, length=8.0)
     assert len(asked) == 1
     assert true_clearance(probe, patch.points) > patch.max_error
 
@@ -182,7 +191,35 @@ def test_spiral_witnesses_far_out():
         assert max(math.hypot(*c) for c in w.probe.corners()) <= 2000.0
 
 
+@pytest.mark.parametrize("radius", [5.0, math.inf, math.nan])
+def test_spiral_search_needs_a_finite_radius_past_the_rectangle(radius):
+    with pytest.raises(InvalidSpec):
+        spiral_empty_rectangle_search(GOLDEN, radius, 0.2, 10.0)
+
+
 def test_spiral_witness_rational_half_strip():
     w = spiral_empty_rectangle_search(RationalAngle(1, 2), 500.0, 0.2, 30.0)
     assert w is not None
     assert not w.local_probe.contains(w.patch.points).any()
+
+
+def test_first_direction_is_the_shortest_point(monkeypatch):
+    """The sweep starts along the patch's shortest nonzero point; on a
+    collinear rational window that is the ray through the center, mod pi."""
+    alpha, n = parse_angle("rat:13/21"), 10**6 + 5
+    win, offsets, errs = recentered_window(alpha, n, 12.0)
+    patch = Patch(offsets, 12.0, point_errors=errs)
+    tried = []
+    search = forest._search_direction
+
+    def record(pts, w_radius, eps, length, phi, margin, pad):
+        tried.append(phi)
+        return search(pts, w_radius, eps, length, phi, margin, pad)
+
+    monkeypatch.setattr(forest, "_search_direction", record)
+    assert empty_rectangle_search(patch, 0.2, 10.0) is not None
+    center = spiral_point(alpha, n)
+    ray = math.atan2(center.y, center.x) % math.pi
+    gap = abs(tried[0] - ray)
+    assert min(gap, math.pi - gap) < 1e-9
+    assert min(ray, math.pi - ray) > 0.1  # not 0, where a grid fixed to the axes starts

@@ -264,6 +264,16 @@ def test_convergent_determinant_alternates():
         assert all(dets[i] == -dets[i + 1] for i in range(len(dets) - 1))
 
 
+@pytest.mark.parametrize("j", [0, -1])
+def test_index_below_one_is_named(j):
+    """Convergents are numbered from 1: j < 1 must not wrap to the last one."""
+    for call in (lambda: convergent_determinant(GOLDEN, j),
+                 lambda: verify_cf_identities(GOLDEN, range(j, 3)),
+                 lambda: triplet(GOLDEN, j)):
+        with pytest.raises(InvalidSpec, match=f"j={j}"):
+            call()
+
+
 # --- class limits ----------------------------------------------------------
 
 def test_class_limit_sqrt2():

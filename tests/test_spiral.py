@@ -129,8 +129,9 @@ def test_consecutive_angle_rotation():
 # --- windows -----------------------------------------------------------------
 
 def test_window_rejects_bad_radius_center_and_oversized_box():
-    with pytest.raises(InvalidSpec):
-        recentered_window(GOLDEN, 100, 0.0)
+    for radius in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidSpec):
+            recentered_window(GOLDEN, 100, radius)
     with pytest.raises(InvalidSpec):
         recentered_window(GOLDEN, 0, 1.0)
     with pytest.raises(WindowTooLarge):
