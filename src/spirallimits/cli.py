@@ -1,9 +1,12 @@
 """Command-line experiment runner.
 
 Every run writes a manifest (alpha spec, parameters, precision policy, output
-list) plus CSV/JSON/SVG artifacts into a run directory.  All outputs are
-deterministic: identical manifests give byte-identical files.  Measured
-numbers serialize as decimal strings with 17 significant digits.
+list) plus CSV/JSON/SVG artifacts into a run directory.  Each subcommand
+returns the text of its artifacts; ``main`` creates the directory and writes
+them only after the subcommand has succeeded, so a failed run creates
+nothing.  All outputs are deterministic: identical manifests give
+byte-identical files.  Measured numbers serialize as decimal strings with 17
+significant digits.
 
 Exit codes: 0 success, 2 precondition violation, 3 precision exhausted.
 """
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .chabauty_metric import Patch, delta
-from .errors import PrecisionExhausted, SpiralLimitsError
+from .errors import InvalidSpec, PrecisionExhausted, SpiralLimitsError
 from .forest import (
     delone_constants,
     density_ratio,
@@ -81,11 +84,11 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+def _json_text(obj) -> str:
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         cells = []
@@ -95,12 +98,19 @@ def _write_csv(path: Path, header, rows) -> None:
             else:
                 cells.append(_fmt17(v))
         lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _parse_range(text: str):
-    lo, hi = text.split(":", 1)
-    return range(int(lo), int(hi) + 1)
+def _parse_range(text: str) -> range:
+    """The integers lo..hi of the text "lo:hi", which must have lo <= hi."""
+    lo, _, hi = text.partition(":")
+    try:
+        values = range(int(lo), int(hi) + 1)
+    except ValueError:
+        values = range(0)
+    if not values:
+        raise InvalidSpec(f"range {text!r} is not lo:hi with integers lo <= hi")
+    return values
 
 
 def finite(text: str) -> float:
@@ -118,12 +128,12 @@ def _parse_floats(text: str):
     return [finite(x) for x in text.split(",") if x]
 
 
-def _patch_csv(path: Path, win, offsets, errs) -> None:
+def _patch_csv(win, offsets, errs) -> str:
     rows = [
         (int(n), offsets[i, 0], offsets[i, 1], errs[i])
         for i, n in enumerate(win.indices)
     ]
-    _write_csv(path, ["n", "x", "y", "err"], rows)
+    return _csv_text(["n", "x", "y", "err"], rows)
 
 
 def _read_patch(path: Path, window: float | None) -> Patch:
@@ -170,80 +180,70 @@ def _read_patch(path: Path, window: float | None) -> Patch:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations (each returns a dict recorded in the manifest)
+# subcommand implementations: each returns (files, result), the text of every
+# artifact by name in manifest order and the manifest's result object
 # ---------------------------------------------------------------------------
 
-def _cmd_cf(args, out: Path):
+def _cmd_cf(args):
     alpha = parse_angle(args.alpha)
     quots = expand_cf(alpha, args.count)
     convs = convergents(alpha, args.count)
-    _write_csv(
-        out / "convergents.csv",
-        ["j", "a", "p", "q"],
-        [(c.j, quots[c.j - 1], c.p, c.q) for c in convs],
-    )
-    return {"outputs": ["convergents.csv"], "terminated": len(convs) < args.count}
+    csv = _csv_text(["j", "a", "p", "q"], [(c.j, quots[c.j - 1], c.p, c.q) for c in convs])
+    return {"convergents.csv": csv}, {"terminated": len(convs) < args.count}
 
 
-def _cmd_triplets(args, out: Path):
+def _cmd_triplets(args):
     alpha = parse_angle(args.alpha)
+    js = _parse_range(args.j)
     rows = []
-    for j in _parse_range(args.j):
+    for j in js:
         t = triplet(alpha, j)
         rows.append((j, float(t.beta), float(t.c), float(t.ctilde), t.err))
-    _write_csv(out / "triplets.csv", ["j", "beta", "c", "ctilde", "err"], rows)
-    profile = badly_approx_profile(alpha, max(_parse_range(args.j)))
-    _write_json(out / "profile.json", profile)
-    return {"outputs": ["triplets.csv", "profile.json"]}
+    return {
+        "triplets.csv": _csv_text(["j", "beta", "c", "ctilde", "err"], rows),
+        "profile.json": _json_text(badly_approx_profile(alpha, max(js))),
+    }, {}
 
 
-def _cmd_spiral(args, out: Path):
+def _cmd_spiral(args):
     alpha = parse_angle(args.alpha)
-    rng = _parse_range(args.n_range)
     rows = []
-    for n in rng:
+    for n in _parse_range(args.n_range):
         p = spiral_point(alpha, n)
         rows.append((n, p.x, p.y, p.error_bound))
-    _write_csv(out / "points.csv", ["n", "x", "y", "err"], rows)
-    return {"outputs": ["points.csv"], "count": len(rows)}
+    return {"points.csv": _csv_text(["n", "x", "y", "err"], rows)}, {"count": len(rows)}
 
 
-def _cmd_patch(args, out: Path):
+def _cmd_patch(args):
     alpha = parse_angle(args.alpha)
     win, offsets, errs = recentered_window(
         alpha, args.center_index, args.window, n_min=args.n_min
     )
-    # rendered first: an SVG over budget raises before any artifact is written
-    svg = render_svg(args.window, point_layers=[("patch", offsets)])
-    _patch_csv(out / "patch.csv", win, offsets, errs)
-    _write_json(
-        out / "patch.json",
-        {
-            "window_radius": args.window,
-            "center_index": args.center_index,
-            "center": {"x": win.center[0], "y": win.center[1]},
-            "count": len(win),
-        },
-    )
-    (out / "patch.svg").write_text(svg)
-    return {"outputs": ["patch.csv", "patch.json", "patch.svg"], "count": len(win)}
+    meta = {
+        "window_radius": args.window,
+        "center_index": args.center_index,
+        "center": {"x": win.center[0], "y": win.center[1]},
+        "count": len(win),
+    }
+    return {
+        "patch.csv": _patch_csv(win, offsets, errs),
+        "patch.json": _json_text(meta),
+        "patch.svg": render_svg(args.window, point_layers=[("patch", offsets)]),
+    }, {"count": len(win)}
 
 
-def _cmd_delta(args, out: Path):
+def _cmd_delta(args):
     a = _read_patch(Path(args.a), args.a_window)
     b = _read_patch(Path(args.b), args.b_window)
     res = delta(a, b)
-    _write_json(
-        out / "delta.json",
-        {
-            "value": res.value,
-            "bracket": [res.lower, res.upper],
-            "certified_radius": res.certified_radius,
-            "certified": res.certified,
-            "distance": min(1.0, res.value),
-        },
-    )
-    return {"outputs": ["delta.json"], "value": _fmt17(res.value)}
+    payload = {
+        "value": res.value,
+        "bracket": [res.lower, res.upper],
+        "certified_radius": res.certified_radius,
+        "certified": res.certified,
+        "distance": min(1.0, res.value),
+    }
+    return {"delta.json": _json_text(payload)}, {"value": _fmt17(res.value)}
 
 
 def _basis_dict(pl):
@@ -263,7 +263,7 @@ def _prediction_input(args, alpha):
     )
 
 
-def _cmd_predict(args, out: Path):
+def _cmd_predict(args):
     alpha = parse_angle(args.alpha)
     pin = _prediction_input(args, alpha)
     payload = {"triplet": {"beta": pin.beta, "c": pin.c, "ctilde": pin.ctilde},
@@ -272,66 +272,56 @@ def _cmd_predict(args, out: Path):
         payload["proof_form"] = _basis_dict(predicted_basis(pin))
     if args.form in ("theorem", "both"):
         payload["theorem_form"] = _basis_dict(theorem_form_basis(pin))
-    _write_json(out / "prediction.json", payload)
-    return {"outputs": ["prediction.json"]}
+    return {"prediction.json": _json_text(payload)}, {}
 
 
-def _cmd_compare_forms(args, out: Path):
+def _cmd_compare_forms(args):
     alpha = parse_angle(args.alpha)
     pin = _prediction_input(args, alpha)
     proof = predicted_basis(pin)
     theorem = theorem_form_basis(pin)
     res = same_lattice(proof.basis, theorem.basis, args.tol)
-    _write_json(
-        out / "forms.json",
-        {
-            "proof_form": _basis_dict(proof),
-            "theorem_form": _basis_dict(theorem),
-            "same_lattice": res.equal,
-            "max_generator_distance": res.max_generator_distance,
-            "covolume_gap": res.covolume_gap,
-            "witness": res.witness,
-        },
-    )
-    return {"outputs": ["forms.json"], "same_lattice": res.equal}
+    payload = {
+        "proof_form": _basis_dict(proof),
+        "theorem_form": _basis_dict(theorem),
+        "same_lattice": res.equal,
+        "max_generator_distance": res.max_generator_distance,
+        "covolume_gap": res.covolume_gap,
+        "witness": res.witness,
+    }
+    return {"forms.json": _json_text(payload)}, {"same_lattice": res.equal}
 
 
-def _cmd_empirical(args, out: Path):
+def _cmd_empirical(args):
     alpha = parse_angle(args.alpha)
     report = empirical_vs_predicted(
         alpha, args.t, _parse_range(args.j), args.window, args.tol,
         use_finite_beta=args.finite_beta,
     )
-    # every SVG is rendered before the first artifact is written
-    svgs = [render_svg(args.window, point_layers=[("patch", rec.patch.points)],
-                       cross_layers=[("proof_form", rec.balls[0].points),
-                                     ("theorem_form", rec.balls[1].points)])
-            for rec in report.records]
-    outputs = ["report.json"]
-    for rec, svg in zip(report.records, svgs):
-        csv, overlay = f"patch_j{rec.j}.csv", f"overlay_j{rec.j}.svg"
-        _patch_csv(out / csv, rec.window, rec.patch.points, rec.patch.point_errors)
-        (out / overlay).write_text(svg)
-        outputs += [csv, overlay]
-    _write_json(out / "report.json", report)
-    return {"outputs": outputs, "verdict": report.verdict}
+    files = {"report.json": _json_text(report)}
+    for rec in report.records:
+        files[f"patch_j{rec.j}.csv"] = _patch_csv(
+            rec.window, rec.patch.points, rec.patch.point_errors)
+        files[f"overlay_j{rec.j}.svg"] = render_svg(
+            args.window, point_layers=[("patch", rec.patch.points)],
+            cross_layers=[("proof_form", rec.balls[0].points),
+                          ("theorem_form", rec.balls[1].points)])
+    return files, {"verdict": report.verdict}
 
 
-def _cmd_orbit(args, out: Path):
+def _cmd_orbit(args):
     alpha = parse_angle(args.alpha)
     centers = center_indices(alpha, args.t, [args.j])
     n_base = centers.entries[0].n
     report = rotation_orbit(alpha, n_base, _parse_range(args.b), args.window, args.tol)
-    _write_json(out / "orbit.json", report)
-    return {"outputs": ["orbit.json"], "matches": report.matches,
-            "checked": len(report.entries)}
+    return {"orbit.json": _json_text(report)}, {"matches": report.matches,
+                                                "checked": len(report.entries)}
 
 
-def _cmd_forest(args, out: Path):
+def _cmd_forest(args):
     alpha = parse_angle(args.alpha)
     witnesses = []
-    outputs = ["witnesses.json"]
-    svgs = []  # written after every SVG rendered within budget
+    svgs = {}
     for length in _parse_floats(args.lengths):
         w = spiral_empty_rectangle_search(
             alpha, args.window_radius, args.eps, length, n_min=args.n_min
@@ -354,39 +344,31 @@ def _cmd_forest(args, out: Path):
                 "points_checked": len(w.patch),
             }
         )
-        svg = render_svg(
+        svgs[f"witness_V{length:g}.svg"] = render_svg(
             w.patch.window_radius,
             point_layers=[("window", w.patch.points)],
             rectangles=[(f"V={length:g}", w.local_probe.corners())],
         )
-        name = f"witness_V{length:g}.svg"
-        svgs.append((name, svg))
-        outputs.append(name)
-    for name, svg in svgs:
-        (out / name).write_text(svg)
-    _write_json(out / "witnesses.json", {"eps": args.eps, "witnesses": witnesses})
-    return {"outputs": outputs, "found": sum(1 for w in witnesses if w.get("found"))}
+    files = {"witnesses.json": _json_text({"eps": args.eps, "witnesses": witnesses}), **svgs}
+    return files, {"found": sum(1 for w in witnesses if w.get("found"))}
 
 
-def _cmd_density(args, out: Path):
+def _cmd_density(args):
     alpha = parse_angle(args.alpha)
     rows = [
         {"r": r, "ratio": density_ratio(alpha, r, args.n_min)}
         for r in _parse_floats(args.r)
     ]
-    _write_json(out / "density.json", {"n_min": args.n_min, "ratios": rows})
-    return {"outputs": ["density.json"]}
+    return {"density.json": _json_text({"n_min": args.n_min, "ratios": rows})}, {}
 
 
-def _cmd_delone(args, out: Path):
+def _cmd_delone(args):
     alpha = parse_angle(args.alpha)
     patch = empirical_limit_patch(alpha, args.center_index, args.window)
-    dc = delone_constants(patch, args.grid_step)
-    _write_json(out / "delone.json", dc)
-    return {"outputs": ["delone.json"]}
+    return {"delone.json": _json_text(delone_constants(patch, args.grid_step))}, {}
 
 
-def _cmd_report(args, out: Path):
+def _cmd_report(args):
     run = Path(args.run)
     manifest_path = run / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
@@ -421,9 +403,8 @@ def _cmd_report(args, out: Path):
     for k, v in sorted(result.items()):
         lines.append(f"result {k}: {v}")
     text = "\n".join(lines) + "\n"
-    (out / "report.txt").write_text(text)
     sys.stdout.write(text)
-    return {"outputs": ["report.txt"]}
+    return {"report.txt": text}, {}
 
 
 _HANDLERS = {
@@ -484,7 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = add(name, help="closed-form limit lattice prediction")
         p.add_argument("--alpha", required=True)
         p.add_argument("--t", type=finite, required=True)
-        p.add_argument("--theta", type=finite, required=True)
+        p.add_argument("--theta", type=finite, required=True,
+                       help="write a negative value as --theta=-1e-3")
         p.add_argument("--j", type=int, default=1, help="subsequence class index")
         if name == "predict":
             p.add_argument("--form", choices=["proof", "theorem", "both"], default="both")
@@ -503,7 +485,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--t", type=finite, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--b", required=True, help="range lo:hi")
+    p.add_argument("--b", required=True,
+                   help="range lo:hi; write a negative lo as --b=-2:2")
     p.add_argument("--window", type=finite, required=True)
     p.add_argument("--tol", type=finite, default=FIT_TOL)
 
@@ -535,14 +518,28 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     out = Path(args.out) if args.out else Path("runs") / args.command
-    out.mkdir(parents=True, exist_ok=True)
     params = {
         k: v
         for k, v in vars(args).items()
         if k not in {"command", "out"} and v is not None
     }
     try:
-        result = _HANDLERS[args.command](args, out)
+        files, result = _HANDLERS[args.command](args)
+        manifest = {
+            "tool_version": __version__,
+            "command": args.command,
+            "alpha": params.get("alpha"),
+            "params": params,
+            "n_min": params.get("n_min", 1),
+            "precision_policy": PRECISION_POLICY,
+            "tolerances": {k: v for k, v in params.items() if "tol" in k},
+            "outputs": list(files),
+            "result": result,
+        }
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
+        (out / "manifest.json").write_text(_json_text(manifest))
     except PrecisionExhausted as exc:
         sys.stderr.write(f"precision exhausted: {exc}\n")
         return 3
@@ -552,18 +549,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    manifest = {
-        "tool_version": __version__,
-        "command": args.command,
-        "alpha": params.get("alpha"),
-        "params": params,
-        "n_min": params.get("n_min", 1),
-        "precision_policy": PRECISION_POLICY,
-        "tolerances": {k: v for k, v in params.items() if "tol" in k},
-        "outputs": result.get("outputs", []),
-        "result": {k: v for k, v in result.items() if k != "outputs"},
-    }
-    _write_json(out / "manifest.json", manifest)
     sys.stdout.write(f"{out}\n")
     return 0
 

@@ -234,10 +234,72 @@ def test_exit_codes(tmp_path):
      "--lengths", "10,20,40"],
 ])
 def test_svg_over_budget_writes_nothing(tmp_path, args):
-    """A window too dense for an SVG fails before any artifact is written."""
+    """A window too dense for an SVG fails before the run directory exists."""
     out = tmp_path / "dense"
     assert run(args + ["--out", out]) == 2
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["density", "--alpha", "quad:1,1,2,5", "--r", "1.5,inf"],
+    ["triplets", "--alpha", "quad:1,1,2,5", "--j", "0:3"],
+])
+def test_failed_run_creates_no_run_directory(tmp_path, capsys, args):
+    """A handler that fails leaves no --out behind, not even an empty one."""
+    out = tmp_path / "run"
+    assert run(args + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_out_naming_a_file_is_an_error_line(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    assert run(["cf", "--alpha", "quad:1,1,2,5", "--count", 5, "--out", afile]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(afile) in err
+    assert "Traceback" not in err
+    assert afile.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["triplets", "--alpha", "quad:1,1,2,5", "--j", "3:1"],
+    ["triplets", "--alpha", "quad:1,1,2,5", "--j", "5"],
+    ["triplets", "--alpha", "quad:1,1,2,5", "--j", "1:x"],
+    ["triplets", "--alpha", "quad:1,1,2,5", "--j", "1:2:3"],
+    ["spiral", "--alpha", "quad:1,1,2,5", "--n-range", "5:1"],
+    ["orbit", "--alpha", "quad:1,1,2,5", "--t", "1", "--j", "19", "--window", "8",
+     "--b", "3:1"],
+])
+def test_malformed_range_is_an_error_line(tmp_path, capsys, argv):
+    """A range that is not lo:hi integers with lo <= hi exits 2 naming the
+    text, instead of a cryptic message or an empty artifact."""
+    out = tmp_path / "run"
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: range ") and repr(argv[-1]) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["predict", "--alpha", "quad:1,1,2,5", "--t", "1"], "--theta", "-1e-3"),
+    (["orbit", "--alpha", "quad:1,1,2,5", "--t", "1", "--j", "19", "--window", "8"],
+     "--b", "-2:2"),
+])
+def test_negative_values_take_the_equals_form(tmp_path, capsys, argv, option, value):
+    """argparse reads a spaced negative value as a flag and exits 2 with its
+    usage error; the documented --option=value form runs."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [option, value, "--out", tmp_path / "spaced"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected one argument" in err and "Traceback" not in err
+    out = tmp_path / "joined"
+    assert run(argv + [f"{option}={value}", "--out", out]) == 0
+    if argv[0] == "orbit":
+        assert len(read_json(out / "orbit.json")["entries"]) == 5
 
 
 # --- import path -------------------------------------------------------------------
@@ -293,6 +355,13 @@ def test_tree_free_commands_run_without_scipy(tmp_path):
     assert {name.split(os.sep)[0] for name in runs["block"][1]} == {
         argv[-1] for argv in TREE_FREE_COMMANDS}
     assert runs["block"] == runs["normal"]
+    # each run directory holds its manifest and the outputs it lists, nothing else
+    files = runs["block"][1]
+    for argv in TREE_FREE_COMMANDS:
+        run_dir = argv[-1]
+        manifest = json.loads(files[os.path.join(run_dir, "manifest.json")])
+        assert {name for name in files if name.split(os.sep)[0] == run_dir} == {
+            os.path.join(run_dir, name) for name in ["manifest.json", *manifest["outputs"]]}
 
 
 def test_tree_command_without_scipy_is_an_error_line(tmp_path):

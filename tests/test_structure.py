@@ -132,3 +132,49 @@ def test_abs_square_detector_sees_every_form():
         "    return [_iv_abs_square(c) for c in a]\n"
     )
     assert abs_square_callers(ast.parse(code)) == [(1, "<module>"), (4, "f"), (5, "f")]
+
+
+# calls that create or write files; in cli.py only ``main`` may make them
+WRITE_CALLS = {"mkdir", "write_text", "open"}
+
+
+def file_writes(tree):
+    """(line, enclosing top-level function) of each mkdir, write_text or open call."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in WRITE_CALLS:
+                found.append((node.lineno, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_cli_writes_the_run_directory_only_in_main():
+    """Subcommand handlers take ``args`` alone and return their artifacts;
+    ``main`` is the one commit point that creates and writes the run directory."""
+    tree = ast.parse((Path(spirallimits.__file__).parent / "cli.py").read_text())
+    writes = file_writes(tree)
+    assert writes and {name for _, name in writes} == {"main"}
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert handlers
+    for fn in handlers:
+        a = fn.args
+        assert [p.arg for p in a.posonlyargs + a.args] == ["args"], fn.name
+        assert not (a.vararg or a.kwonlyargs or a.kwarg), fn.name
+
+
+def test_file_write_detector_sees_every_form():
+    code = (
+        "def f(out):\n"
+        "    out.mkdir(parents=True)\n"
+        "    with open(out / 'a') as fh, out.open('w') as g:\n"
+        "        pass\n"
+        "class C:\n"
+        "    def g(self, p):\n"
+        "        return p.read_text(), p.write_text('x')\n"
+    )
+    assert file_writes(ast.parse(code)) == [(2, "f"), (3, "f"), (3, "f"), (7, "C")]
