@@ -320,9 +320,15 @@ def _cmd_orbit(args):
 
 def _cmd_forest(args):
     alpha = parse_angle(args.alpha)
+    lengths = _parse_floats(args.lengths)
+    names = [f"witness_V{length:g}.svg" for length in lengths]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise InvalidSpec(f"lengths {lengths[names.index(name)]!r} and {lengths[i]!r} "
+                              f"share the SVG name {name}")
     witnesses = []
     svgs = {}
-    for length in _parse_floats(args.lengths):
+    for length, name in zip(lengths, names):
         w = spiral_empty_rectangle_search(
             alpha, args.window_radius, args.eps, length, n_min=args.n_min
         )
@@ -344,7 +350,7 @@ def _cmd_forest(args):
                 "points_checked": len(w.patch),
             }
         )
-        svgs[f"witness_V{length:g}.svg"] = render_svg(
+        svgs[name] = render_svg(
             w.patch.window_radius,
             point_layers=[("window", w.patch.points)],
             rectangles=[(f"V={length:g}", w.local_probe.corners())],
@@ -402,9 +408,7 @@ def _cmd_report(args):
         lines.append(f"  {name}: {status}")
     for k, v in sorted(result.items()):
         lines.append(f"result {k}: {v}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    return {"report.txt": text}, {}
+    return {"report.txt": "\n".join(lines) + "\n"}, {}
 
 
 _HANDLERS = {
@@ -540,6 +544,8 @@ def main(argv=None) -> int:
         for name, text in files.items():
             (out / name).write_text(text)
         (out / "manifest.json").write_text(_json_text(manifest))
+        if args.command == "report":  # its summary prints only once committed
+            sys.stdout.write(files["report.txt"])
     except PrecisionExhausted as exc:
         sys.stderr.write(f"precision exhausted: {exc}\n")
         return 3

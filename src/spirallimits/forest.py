@@ -185,15 +185,19 @@ def empty_rectangle_search(patch: Patch, eps: float, length: float) -> Rectangle
     Candidate directions are a uniform grid mod pi started along the patch's
     shortest nonzero point: the rows of a lattice parallel to its shortest
     vector are the farthest apart, and a collinear window's shortest point
-    lies along its line.  Offsets sweep gap midpoints and an eps/4 grid.
+    lies along its line.  Offsets sweep gap midpoints and an eps/4 grid; an
+    offset is tried only where the window's chord is at least ``length``
+    long, so every probe lies inside the window.  The window must be able to
+    hold the rectangle: its radius is at least hypot(length, eps) / 2.
     Every returned probe is re-verified point by point: each point lies
     outside it by more than the patch's largest point error.  ``None`` is
     not a proof of non-existence.
     """
     if eps <= 0 or length <= 0 or eps > length:
         raise InvalidSpec("need 0 < eps <= length")
-    if patch.window_radius < length:
-        raise InvalidSpec("window radius must be >= the rectangle length")
+    if patch.window_radius < math.hypot(length, eps) / 2:
+        raise InvalidSpec("the rectangle does not fit in the window: "
+                          "need window radius >= hypot(length, eps) / 2")
     pts = patch.points
     step = eps / (2 * length)
     n_dirs = min(MAX_DIRECTIONS, max(4, int(math.ceil(math.pi / step))))
@@ -229,15 +233,22 @@ def spiral_empty_rectangle_search(alpha: AngleSpec, window_radius: float,
     Limit windows far from the origin approach lattices, which contain empty
     strips of every length, so the search probes complete local windows near
     the rim and searches them; the rectangle is certified against the full
-    spiral because each local window is complete and contains it.
+    spiral because each local window is complete and contains it.  A local
+    window has radius length / 2 + eps + 2, just over the hypot(length, eps)
+    / 2 that the rectangle needs.  The windows are centered at the indices
+    int(rim^2) + k, k < RIM_WINDOWS, with rim = window_radius - local radius;
+    an ``n_min`` past int(rim^2) is refused, as those windows reach past the
+    disk.
     """
-    local_r = max(length, length / 2 + eps + 2)
+    local_r = length / 2 + eps + 2
     rim = window_radius - local_r - 1e-9
     if not 0 < rim < math.inf:
         raise InvalidSpec("window radius not finite or too small for the requested rectangle")
     n_center = int(rim * rim)
-    for k in range(RIM_WINDOWS):
-        n_c = max(n_min, n_center + k)
+    if n_min > n_center:
+        raise InvalidSpec(f"n_min {n_min} is past the rim index {n_center} of the "
+                          f"radius-{window_radius:g} disk")
+    for n_c in range(n_center, n_center + RIM_WINDOWS):
         win, offsets, errs = recentered_window(alpha, n_c, local_r, n_min=n_min)
         patch = Patch(
             offsets,

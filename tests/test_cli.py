@@ -253,6 +253,19 @@ def test_failed_run_creates_no_run_directory(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def test_report_that_cannot_commit_prints_nothing(tmp_path, capsys):
+    """``report`` prints its summary only after its run directory is written."""
+    run_dir = tmp_path / "run"
+    assert run(["density", "--alpha", "rat:1/3", "--r", "10", "--out", run_dir]) == 0
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    capsys.readouterr()
+    assert run(["report", "--run", run_dir, "--out", afile]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_out_naming_a_file_is_an_error_line(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("not a directory\n")
@@ -300,6 +313,22 @@ def test_negative_values_take_the_equals_form(tmp_path, capsys, argv, option, va
     assert run(argv + [f"{option}={value}", "--out", out]) == 0
     if argv[0] == "orbit":
         assert len(read_json(out / "orbit.json")["entries"]) == 5
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--lengths", "10,10.0000001"], "share the SVG name witness_V10.svg"),
+    (["--lengths", "10", "--n-min", "200000"], "n_min 200000 is past the rim index 85731"),
+])
+def test_forest_refuses_inputs_it_cannot_serve(tmp_path, capsys, argv, message):
+    """Two lengths whose SVGs would share a name, and an n_min past the rim,
+    exit 2 before any search result is written."""
+    out = tmp_path / "run"
+    assert run(["forest", "--alpha", "quad:1,1,2,5", "--window-radius", 300,
+                "--eps", 0.2, *argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 # --- import path -------------------------------------------------------------------
@@ -429,10 +458,13 @@ def test_report_subcommand(tmp_path, capsys):
     out = tmp_path / "run"
     assert run(["density", "--alpha", "rat:1/3", "--r", "10", "--out", out]) == 0
     rep = tmp_path / "rep"
+    capsys.readouterr()
     assert run(["report", "--run", out, "--out", rep]) == 0
     text = (rep / "report.txt").read_text()
     assert "run: density" in text
     assert "density.json" in text
+    # the summary, then the run directory, as every subcommand ends
+    assert capsys.readouterr().out == text + f"{rep}\n"
 
 
 # --- SVG ---------------------------------------------------------------------------

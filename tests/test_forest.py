@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import window_oracle
 
 from spirallimits import GOLDEN, InvalidSpec, RationalAngle, forest
 from spirallimits.chabauty_metric import Patch
@@ -178,9 +179,19 @@ def test_rational_axis_rays_strip():
 
 def test_search_validations():
     with pytest.raises(InvalidSpec):
-        empty_rectangle_search(z2_patch(10.0), 0.5, 12.0)  # length > window
+        empty_rectangle_search(z2_patch(10.0), 0.5, 21.0)  # hypot(21, 0.5) / 2 > window
     with pytest.raises(InvalidSpec):
         empty_rectangle_search(z2_patch(10.0), 2.0, 1.0)  # eps > length
+
+
+def test_rectangle_longer_than_the_window_radius_fits_its_disk():
+    """A 0.5 x 12 rectangle needs a disk of radius hypot(12, 0.5) / 2, not 12."""
+    patch = z2_patch(10.0)
+    probe = empty_rectangle_search(patch, 0.5, 12.0)
+    assert probe is not None
+    assert not probe.contains(patch.points).any()
+    assert probe.clearance(patch.points) > 0
+    assert max(math.hypot(*c) for c in probe.corners()) <= patch.window_radius
 
 
 def test_spiral_witnesses_far_out():
@@ -195,6 +206,14 @@ def test_spiral_witnesses_far_out():
 def test_spiral_search_needs_a_finite_radius_past_the_rectangle(radius):
     with pytest.raises(InvalidSpec):
         spiral_empty_rectangle_search(GOLDEN, radius, 0.2, 10.0)
+
+
+def test_n_min_past_the_rim_is_refused():
+    # R = 300, V = 10: local radius 7.2, rim index int(292.8^2) = 85731
+    with pytest.raises(InvalidSpec, match=r"n_min 200000 .*rim index 85731"):
+        spiral_empty_rectangle_search(GOLDEN, 300.0, 0.2, 10.0, n_min=200_000)
+    w = spiral_empty_rectangle_search(GOLDEN, 300.0, 0.2, 10.0, n_min=85_731)
+    assert w is not None and w.center_index == 85_731
 
 
 def test_spiral_witness_rational_half_strip():
@@ -223,3 +242,50 @@ def test_first_direction_is_the_shortest_point(monkeypatch):
     gap = abs(tried[0] - ray)
     assert min(gap, math.pi - gap) < 1e-9
     assert min(ray, math.pi - ray) > 0.1  # not 0, where a grid fixed to the axes starts
+
+
+# --- independent re-verification ----------------------------------------------
+
+def oracle_points(spec, indices):
+    """Spiral points x_m from the oracle's exact alpha, one Fraction per index."""
+    alpha = window_oracle.alpha_fraction(spec)
+    turns = np.array([float(alpha * m % 1) for m in indices])
+    r = np.sqrt(np.asarray(indices, dtype=np.float64))
+    return np.column_stack([r * np.cos(2 * np.pi * turns), r * np.sin(2 * np.pi * turns)])
+
+
+@pytest.mark.parametrize("spec", ["quad:1,1,2,5", "quad:0,1,1,2", "rat:1/2", "rat:13/21"])
+@pytest.mark.parametrize("length", [10.0, 20.0, 40.0])
+def test_witness_window_matches_the_brute_force_oracle(spec, length):
+    """The witness's window holds every spiral point of its disk, and no point
+    of that disk, enumerated by the brute-force oracle, lies in the rectangle."""
+    radius = 300.0
+    w = spiral_empty_rectangle_search(parse_angle(spec), radius, 0.2, length)
+    assert w is not None
+    local_r = w.patch.window_radius
+    indices, undecided = window_oracle.window_indices(
+        window_oracle.alpha_fraction(spec), w.center_index, local_r)
+    assert not undecided
+    assert len(indices) == len(w.patch)
+    center = oracle_points(spec, [w.center_index])[0]
+    # the rectangle lies inside the window's disk, so no point outside it can enter
+    assert max(math.hypot(*(c - center)) for c in w.probe.corners()) <= local_r
+    assert max(math.hypot(*c) for c in w.probe.corners()) <= radius
+    pts = oracle_points(spec, indices)
+    assert not w.probe.contains(pts).any()
+    assert w.probe.clearance(pts) > forest.VERIFY_MARGIN / 4
+
+
+@pytest.mark.parametrize("alpha", [GOLDEN, parse_angle("quad:0,1,1,2")])
+@pytest.mark.parametrize("length, radius", [(100.0, 5e4), (300.0, 5e5), (1000.0, 1e7)])
+def test_long_witnesses_far_out(alpha, length, radius):
+    """0.2 x V witnesses up to V = 1000, found in the first rim window."""
+    w = spiral_empty_rectangle_search(alpha, radius, 0.2, length)
+    assert w is not None
+    local_r = length / 2 + 0.2 + 2
+    assert w.patch.window_radius == local_r
+    assert w.center_index == int((radius - local_r - 1e-9) ** 2)
+    assert not w.local_probe.contains(w.patch.points).any()
+    assert w.local_probe.clearance(w.patch.points) > w.patch.max_error
+    assert max(math.hypot(*c) for c in w.local_probe.corners()) <= local_r
+    assert max(math.hypot(*c) for c in w.probe.corners()) <= radius

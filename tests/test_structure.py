@@ -152,12 +152,27 @@ def file_writes(tree):
     return found
 
 
+def stdout_writes(tree):
+    """(line, enclosing top-level function) of each ``print`` call or ``stdout`` use."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            printed = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                       and node.func.id == "print")
+            if printed or (isinstance(node, ast.Attribute) and node.attr == "stdout"):
+                found.append((node.lineno, getattr(top, "name", "<module>")))
+    return sorted(found)
+
+
 def test_cli_writes_the_run_directory_only_in_main():
     """Subcommand handlers take ``args`` alone and return their artifacts;
-    ``main`` is the one commit point that creates and writes the run directory."""
+    ``main`` is the one commit point that creates and writes the run directory,
+    and the only code that prints, so a run that fails prints no result."""
     tree = ast.parse((Path(spirallimits.__file__).parent / "cli.py").read_text())
     writes = file_writes(tree)
     assert writes and {name for _, name in writes} == {"main"}
+    prints = stdout_writes(tree)
+    assert prints and {name for _, name in prints} == {"main"}
     handlers = [node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
     assert handlers
@@ -178,3 +193,16 @@ def test_file_write_detector_sees_every_form():
         "        return p.read_text(), p.write_text('x')\n"
     )
     assert file_writes(ast.parse(code)) == [(2, "f"), (3, "f"), (3, "f"), (7, "C")]
+
+
+def test_stdout_write_detector_sees_every_form():
+    code = (
+        "import sys\n"
+        "def f(text):\n"
+        "    sys.stdout.write(text)\n"
+        "    print(text, file=sys.stderr)\n"
+        "class C:\n"
+        "    def g(self, out=sys.stdout):\n"
+        "        return out\n"
+    )
+    assert stdout_writes(ast.parse(code)) == [(3, "f"), (4, "f"), (6, "C")]
