@@ -49,7 +49,7 @@ from .number_theory import (
     triplet,
 )
 from .spiral import PREC_PAD, recentered_window, spiral_point
-from .svgplot import render_svg
+from .svgplot import MAX_POINTS, render_svg
 
 PRECISION_POLICY = f"bits(n) + {PREC_PAD}"
 
@@ -350,6 +350,8 @@ def _cmd_forest(args):
                 "points_checked": len(w.patch),
             }
         )
+        if len(w.patch) > MAX_POINTS:
+            continue  # the witness stands; its window is too dense to draw
         svgs[name] = render_svg(
             w.patch.window_radius,
             point_layers=[("window", w.patch.points)],

@@ -22,8 +22,6 @@ from .spiral import recentered_window
 VERIFY_MARGIN = 1e-9
 # cap on the uniform direction grid of one rectangle search
 MAX_DIRECTIONS = 4096
-# consecutive local windows near the rim tried by a spiral search
-RIM_WINDOWS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +229,14 @@ def spiral_empty_rectangle_search(alpha: AngleSpec, window_radius: float,
     """Find a verified empty rectangle inside B_{window_radius} of the spiral.
 
     Limit windows far from the origin approach lattices, which contain empty
-    strips of every length, so the search probes complete local windows near
-    the rim and searches them; the rectangle is certified against the full
-    spiral because each local window is complete and contains it.  A local
+    strips of every length, so the search takes one complete local window at
+    the rim and searches it; the rectangle is certified against the full
+    spiral because the local window is complete and contains it.  The local
     window has radius length / 2 + eps + 2, just over the hypot(length, eps)
-    / 2 that the rectangle needs.  The windows are centered at the indices
-    int(rim^2) + k, k < RIM_WINDOWS, with rim = window_radius - local radius;
-    an ``n_min`` past int(rim^2) is refused, as those windows reach past the
-    disk.
+    / 2 that the rectangle needs, and is centered at the rim index
+    int(rim^2), rim = window_radius - local radius.  An ``n_min`` past the
+    rim index is refused, as that window would reach past the disk.  A
+    rectangle that leaks outside the disk gives None.
     """
     local_r = length / 2 + eps + 2
     rim = window_radius - local_r - 1e-9
@@ -248,25 +246,22 @@ def spiral_empty_rectangle_search(alpha: AngleSpec, window_radius: float,
     if n_min > n_center:
         raise InvalidSpec(f"n_min {n_min} is past the rim index {n_center} of the "
                           f"radius-{window_radius:g} disk")
-    for n_c in range(n_center, n_center + RIM_WINDOWS):
-        win, offsets, errs = recentered_window(alpha, n_c, local_r, n_min=n_min)
-        patch = Patch(
-            offsets,
-            local_r,
-            provenance=f"spiral {alpha.canonical()} n={n_c} W={local_r:g}",
-            point_errors=errs,
-        )
-        probe = empty_rectangle_search(patch, eps, length)
-        if probe is None:
-            continue
-        gc = (probe.center[0] + win.center[0], probe.center[1] + win.center[1])
-        global_probe = RectangleProbe(
-            center=gc, direction=probe.direction, width=eps, length=length
-        )
-        far = max(np.hypot(*(c)) for c in global_probe.corners())
-        if far > window_radius:
-            continue  # rectangle leaks outside the requested disk
-        return SpiralForestWitness(
-            probe=global_probe, center_index=n_c, local_probe=probe, patch=patch
-        )
-    return None
+    win, offsets, errs = recentered_window(alpha, n_center, local_r, n_min=n_min)
+    patch = Patch(
+        offsets,
+        local_r,
+        provenance=f"spiral {alpha.canonical()} n={n_center} W={local_r:g}",
+        point_errors=errs,
+    )
+    probe = empty_rectangle_search(patch, eps, length)
+    if probe is None:
+        return None
+    gc = (probe.center[0] + win.center[0], probe.center[1] + win.center[1])
+    global_probe = RectangleProbe(
+        center=gc, direction=probe.direction, width=eps, length=length
+    )
+    if max(np.hypot(*c) for c in global_probe.corners()) > window_radius:
+        return None  # rectangle leaks outside the requested disk
+    return SpiralForestWitness(
+        probe=global_probe, center_index=n_center, local_probe=probe, patch=patch
+    )

@@ -14,7 +14,7 @@ import pytest
 import spirallimits
 from spirallimits.cli import main
 from spirallimits.errors import TooManyPoints
-from spirallimits.svgplot import render_svg
+from spirallimits.svgplot import MAX_POINTS, render_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -230,14 +230,26 @@ def test_exit_codes(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["patch", "--alpha", "rat:1/2", "--center-index", 4000000, "--window", 30],
-    ["forest", "--alpha", "rat:1/2", "--window-radius", 5000, "--eps", 0.2,
-     "--lengths", "10,20,40"],
 ])
 def test_svg_over_budget_writes_nothing(tmp_path, args):
     """A window too dense for an SVG fails before the run directory exists."""
     out = tmp_path / "dense"
     assert run(args + ["--out", out]) == 2
     assert not out.exists()
+
+
+def test_forest_keeps_witnesses_whose_svg_is_over_budget(tmp_path):
+    """A witness whose window is too dense to draw is kept without its SVG:
+    the V=40 window of this ray holds 132,214 points, over the budget."""
+    out = tmp_path / "dense"
+    assert run(["forest", "--alpha", "rat:1/2", "--window-radius", 3000, "--eps", 0.2,
+                "--lengths", "10,40", "--out", out]) == 0
+    witnesses = read_json(out / "witnesses.json")["witnesses"]
+    assert [w["found"] for w in witnesses] == [True, True]
+    assert witnesses[1]["points_checked"] > MAX_POINTS
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "witness_V10.svg", "witnesses.json"]
+    assert read_json(out / "manifest.json")["outputs"] == ["witnesses.json", "witness_V10.svg"]
 
 
 @pytest.mark.parametrize("args", [

@@ -216,6 +216,21 @@ def test_n_min_past_the_rim_is_refused():
     assert w is not None and w.center_index == 85_731
 
 
+def test_search_without_witness_lists_one_window(monkeypatch):
+    """A search that finds nothing lists the rim window alone and gives None."""
+    calls = []
+    window = forest.recentered_window
+
+    def record(alpha, n, radius, **kwargs):
+        calls.append(n)
+        return window(alpha, n, radius, **kwargs)
+
+    monkeypatch.setattr(forest, "recentered_window", record)
+    assert spiral_empty_rectangle_search(GOLDEN, 60.0, 1.0, 40.0) is None
+    # V = 40, eps = 1: local radius 23, rim index int((37 - 1e-9)^2) = 1368
+    assert calls == [1368]
+
+
 def test_spiral_witness_rational_half_strip():
     w = spiral_empty_rectangle_search(RationalAngle(1, 2), 500.0, 0.2, 30.0)
     assert w is not None
@@ -263,8 +278,7 @@ def test_witness_window_matches_the_brute_force_oracle(spec, length):
     w = spiral_empty_rectangle_search(parse_angle(spec), radius, 0.2, length)
     assert w is not None
     local_r = w.patch.window_radius
-    indices, undecided = window_oracle.window_indices(
-        window_oracle.alpha_fraction(spec), w.center_index, local_r)
+    indices, undecided = window_oracle.window_indices(spec, w.center_index, local_r)
     assert not undecided
     assert len(indices) == len(w.patch)
     center = oracle_points(spec, [w.center_index])[0]
