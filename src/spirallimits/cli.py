@@ -9,6 +9,10 @@ byte-identical files.  Measured numbers serialize as decimal strings with 17
 significant digits.
 
 Exit codes: 0 success, 2 precondition violation, 3 precision exhausted.
+
+Importing this module loads no numpy: the package loads number_theory, and
+each subcommand imports the other layers it runs when it runs, so
+``--version``, ``cf``, ``triplets`` and ``report`` load none of them.
 """
 
 from __future__ import annotations
@@ -20,27 +24,11 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .chabauty_metric import Patch, delta
 from .errors import InvalidSpec, PrecisionExhausted, SpiralLimitsError
-from .forest import (
-    delone_constants,
-    density_ratio,
-    spiral_empty_rectangle_search,
-)
-from .lattice2d import FIT_TOL, same_lattice
-from .limits import (
-    PredictionInput,
-    center_indices,
-    empirical_limit_patch,
-    empirical_vs_predicted,
-    predicted_basis,
-    rotation_orbit,
-    theorem_form_basis,
-)
 from .number_theory import (
+    FIT_TOL,
+    PREC_PAD,
     badly_approx_profile,
     class_triplet_limit,
     convergents,
@@ -48,8 +36,6 @@ from .number_theory import (
     parse_angle,
     triplet,
 )
-from .spiral import PREC_PAD, recentered_window, spiral_point
-from .svgplot import MAX_POINTS, render_svg
 
 PRECISION_POLICY = f"bits(n) + {PREC_PAD}"
 
@@ -62,25 +48,28 @@ def _fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
+def _python(obj):
+    """A numpy array or scalar as Python lists and scalars (its ``tolist``);
+    any other object unchanged."""
+    tolist = getattr(obj, "tolist", None)
+    return obj if tolist is None else tolist()
+
+
 def _jsonable(obj):
     """Floats become 17-digit decimal strings; dataclasses become dicts of
     their fields, leaving out in-memory objects (fields with repr=False)."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj) if f.repr}
+    obj = _python(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return _fmt17(v) if math.isfinite(v) else repr(v)
-    if isinstance(obj, np.integer):
-        return int(obj)
+    if isinstance(obj, float):
+        return _fmt17(obj) if math.isfinite(obj) else repr(obj)
     return str(obj)
 
 
@@ -91,12 +80,7 @@ def _json_text(obj) -> str:
 def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(_fmt17(v))
+        cells = [str(int(v)) if isinstance(v, int) else _fmt17(v) for v in map(_python, row)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -136,7 +120,11 @@ def _patch_csv(win, offsets, errs) -> str:
     return _csv_text(["n", "x", "y", "err"], rows)
 
 
-def _read_patch(path: Path, window: float | None) -> Patch:
+def _read_patch(path: Path, window: float | None):
+    import numpy as np
+
+    from .chabauty_metric import Patch
+
     meta_path = path.with_suffix(".json")
     w = window
     if w is None and meta_path.exists():
@@ -206,6 +194,8 @@ def _cmd_triplets(args):
 
 
 def _cmd_spiral(args):
+    from .spiral import spiral_point
+
     alpha = parse_angle(args.alpha)
     rows = []
     for n in _parse_range(args.n_range):
@@ -215,6 +205,9 @@ def _cmd_spiral(args):
 
 
 def _cmd_patch(args):
+    from .spiral import recentered_window
+    from .svgplot import render_svg
+
     alpha = parse_angle(args.alpha)
     win, offsets, errs = recentered_window(
         alpha, args.center_index, args.window, n_min=args.n_min
@@ -233,6 +226,8 @@ def _cmd_patch(args):
 
 
 def _cmd_delta(args):
+    from .chabauty_metric import delta
+
     a = _read_patch(Path(args.a), args.a_window)
     b = _read_patch(Path(args.b), args.b_window)
     res = delta(a, b)
@@ -256,6 +251,8 @@ def _basis_dict(pl):
 
 
 def _prediction_input(args, alpha):
+    from .limits import PredictionInput
+
     lim = class_triplet_limit(alpha, args.j)
     return PredictionInput(
         beta=float(lim.beta), c=float(lim.c), ctilde=float(lim.ctilde),
@@ -264,6 +261,8 @@ def _prediction_input(args, alpha):
 
 
 def _cmd_predict(args):
+    from .limits import predicted_basis, theorem_form_basis
+
     alpha = parse_angle(args.alpha)
     pin = _prediction_input(args, alpha)
     payload = {"triplet": {"beta": pin.beta, "c": pin.c, "ctilde": pin.ctilde},
@@ -276,6 +275,9 @@ def _cmd_predict(args):
 
 
 def _cmd_compare_forms(args):
+    from .lattice2d import same_lattice
+    from .limits import predicted_basis, theorem_form_basis
+
     alpha = parse_angle(args.alpha)
     pin = _prediction_input(args, alpha)
     proof = predicted_basis(pin)
@@ -293,6 +295,9 @@ def _cmd_compare_forms(args):
 
 
 def _cmd_empirical(args):
+    from .limits import empirical_vs_predicted
+    from .svgplot import render_svg
+
     alpha = parse_angle(args.alpha)
     report = empirical_vs_predicted(
         alpha, args.t, _parse_range(args.j), args.window, args.tol,
@@ -310,6 +315,8 @@ def _cmd_empirical(args):
 
 
 def _cmd_orbit(args):
+    from .limits import center_indices, rotation_orbit
+
     alpha = parse_angle(args.alpha)
     centers = center_indices(alpha, args.t, [args.j])
     n_base = centers.entries[0].n
@@ -319,6 +326,9 @@ def _cmd_orbit(args):
 
 
 def _cmd_forest(args):
+    from .forest import spiral_empty_rectangle_search
+    from .svgplot import MAX_POINTS, render_svg
+
     alpha = parse_angle(args.alpha)
     lengths = _parse_floats(args.lengths)
     names = [f"witness_V{length:g}.svg" for length in lengths]
@@ -362,6 +372,8 @@ def _cmd_forest(args):
 
 
 def _cmd_density(args):
+    from .forest import density_ratio
+
     alpha = parse_angle(args.alpha)
     rows = [
         {"r": r, "ratio": density_ratio(alpha, r, args.n_min)}
@@ -371,6 +383,9 @@ def _cmd_density(args):
 
 
 def _cmd_delone(args):
+    from .forest import delone_constants
+    from .limits import empirical_limit_patch
+
     alpha = parse_angle(args.alpha)
     patch = empirical_limit_patch(alpha, args.center_index, args.window)
     return {"delone.json": _json_text(delone_constants(patch, args.grid_step))}, {}

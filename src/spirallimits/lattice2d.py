@@ -14,12 +14,11 @@ import numpy as np
 
 from .chabauty_metric import Patch
 from .errors import DegenerateBasis, InvalidSpec, NotALattice, WindowTooLarge
+from .number_theory import FIT_TOL
 
 _MAX_BALL_POINTS = 2_000_000
 # reduction steps before a basis counts as nearly singular
 _REDUCE_STEPS = 64
-# how far a window point may sit from a fitted lattice, shared by every fit
-FIT_TOL = 0.05
 
 
 @dataclass

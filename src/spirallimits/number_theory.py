@@ -31,6 +31,10 @@ from mpmath import iv, mp
 from .errors import InvalidSpec, PrecisionExhausted
 
 MIN_LITERAL_BITS = 64
+# defined here, in a module that loads no numpy, so the CLI's parser and
+# manifest read them without importing spiral or lattice2d
+PREC_PAD = 96  # default evaluation bits beyond bits(n)
+FIT_TOL = 0.05  # how far a window point may sit from a fitted lattice, shared by every fit
 
 
 @contextmanager

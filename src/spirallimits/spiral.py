@@ -27,9 +27,10 @@ from mpmath import iv, mp
 
 from .errors import InvalidSpec, PrecisionExhausted, WindowTooLarge
 from .lattice2d import Basis2, gauss_reduce
-from .number_theory import AngleSpec, _expansion, _iv_prec, _midpoints, largest_denominator_at_most
+from .number_theory import (
+    PREC_PAD, AngleSpec, _expansion, _iv_prec, _midpoints, largest_denominator_at_most,
+)
 
-PREC_PAD = 96  # default evaluation bits beyond bits(n)
 _FILTER_SLACK = 1e-6  # box margin past the radius, so the box bounds' rounding drops no member
 _MAX_WINDOW_POINTS = 4_000_000  # output budget: lattice points a window box may enumerate
 _U = 2.0**-53  # unit roundoff of float64

@@ -1,5 +1,6 @@
 """CLI runs, manifests, determinism, and SVG geometry round-trips."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import spirallimits
+from spirallimits import cli
 from spirallimits.cli import main
 from spirallimits.errors import TooManyPoints
 from spirallimits.svgplot import MAX_POINTS, render_svg
@@ -345,11 +347,15 @@ def test_forest_refuses_inputs_it_cannot_serve(tmp_path, capsys, argv, message):
 
 # --- import path -------------------------------------------------------------------
 
-def test_cli_import_does_not_load_scipy():
-    proc = run_python("import sys, spirallimits.cli; "
-                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_cli_import_loads_no_numpy_and_no_layer():
+    """The CLI module binds only the stdlib, errors and number_theory; each
+    subcommand imports the other layers it runs."""
+    proc = run_python("import json, sys, spirallimits.cli; "
+                      "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
+                      "('numpy', 'scipy', 'spirallimits'))))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout) == [
+        "spirallimits", "spirallimits.cli", "spirallimits.errors", "spirallimits.number_theory"]
 
 
 # subcommands that query no nearest-neighbour tree
@@ -405,6 +411,48 @@ def test_tree_free_commands_run_without_scipy(tmp_path):
             os.path.join(run_dir, name) for name in ["manifest.json", *manifest["outputs"]]}
 
 
+# subcommands that run no numpy layer; report reads a patch run made with numpy
+NUMPY_FREE_COMMANDS = [
+    ["--version"],
+    ["cf", "--alpha", "quad:1,1,2,5", "--count", "40", "--out", "cf"],
+    ["triplets", "--alpha", "quad:0,1,1,2", "--j", "1:40", "--out", "triplets"],
+    ["report", "--run", "patch", "--out", "report"],
+]
+
+RUN_WITHOUT_NUMPY = """
+import json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from spirallimits.cli import main
+for argv in json.loads(sys.argv[2]):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --version prints and exits through argparse
+        code = exc.code
+    if code:
+        sys.exit(f"{argv[0]} exited with {code}")
+"""
+
+
+def test_numpy_free_commands_run_without_numpy(tmp_path):
+    patch = ["patch", "--alpha", "quad:1,1,2,5", "--center-index", "1000000", "--window", "8",
+             "--out", "patch"]
+    runs = {}
+    for mode in ("block", "normal"):
+        cwd = tmp_path / mode
+        cwd.mkdir()
+        assert run_python(RUN_WITHOUT_NUMPY, "normal", json.dumps([patch]), cwd=cwd).returncode == 0
+        proc = run_python(RUN_WITHOUT_NUMPY, mode, json.dumps(NUMPY_FREE_COMMANDS), cwd=cwd)
+        assert proc.returncode == 0, proc.stderr
+        files = {str(p.relative_to(cwd)): p.read_bytes()
+                 for p in sorted(cwd.rglob("*")) if p.is_file()}
+        runs[mode] = (proc.stdout, files)
+    assert runs["block"][0].startswith(f"{spirallimits.__version__}\n")
+    assert {name.split(os.sep)[0] for name in runs["block"][1]} == {"patch", "cf", "triplets",
+                                                                    "report"}
+    assert runs["block"] == runs["normal"]
+
+
 def test_tree_command_without_scipy_is_an_error_line(tmp_path):
     argv = ["delone", "--alpha", "quad:1,1,2,5", "--center-index", "1000", "--window", "6",
             "--out", "delone"]
@@ -438,6 +486,65 @@ def test_non_finite_float_is_an_error_line(tmp_path, capsys, argv):
     assert code == 2
     assert "finite" in err and "Traceback" not in err
     assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+# --- serialization ---------------------------------------------------------------
+
+@dataclasses.dataclass
+class _Inner:
+    x: float
+    hidden: object = dataclasses.field(default=None, repr=False)
+
+
+@dataclasses.dataclass
+class _Outer:
+    name: str
+    inner: _Inner
+    items: list
+
+
+@pytest.mark.parametrize("value, expected", [
+    (np.float64(0.1), "0.10000000000000001"),
+    (np.float32(0.1), "0.10000000149011612"),
+    (np.int64(7), 7),
+    (np.uint8(3), 3),
+    (np.array([[1.5, -0.0], [2, 3]]), [["1.5", "-0"], ["2", "3"]]),
+    (np.array([[1, 2]]), [[1, 2]]),
+    (math.nan, "nan"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+    (-0.0, "-0"),
+    (np.float64(math.nan), "nan"),
+    (np.float64(-0.0), "-0"),
+    (True, True),
+    (None, None),
+    ((1, 2.5), [1, "2.5"]),
+    ({"a": np.int64(2)}, {"a": 2}),
+    (_Outer("o", _Inner(1 / 3, hidden=np.zeros(3)), [_Inner(2.0)]),
+     {"name": "o", "inner": {"x": "0.33333333333333331"}, "items": [{"x": "2"}]}),
+    # a 0-d array is its scalar, and numpy's bool a JSON boolean
+    (np.array(2.5), "2.5"),
+    (np.bool_(True), True),
+])
+def test_json_values_keep_their_form(value, expected):
+    """Floats are 17-digit strings, nonfinite ones their repr; integers stay
+    numbers; a dataclass is its repr'd fields."""
+    jsonable = cli._jsonable(value)
+    assert jsonable == expected and type(jsonable) is type(expected)
+
+
+def test_json_and_csv_text_keep_their_bytes():
+    assert cli._json_text(_Outer("o", _Inner(1 / 3), [])) == (
+        '{\n  "inner": {\n    "x": "0.33333333333333331"\n  },\n  "items": [],\n  "name": "o"\n}\n')
+    rows = [
+        (np.int64(3), np.float64(0.1), -0.0, math.nan, math.inf, np.array(2.5), np.array(4)),
+        (True, np.bool_(False), 1e300, np.float32(0.1), 2**70, np.uint64(5), 1 / 3),
+    ]
+    assert cli._csv_text(list("abcdefg"), rows) == (
+        "a,b,c,d,e,f,g\n"
+        "3,0.10000000000000001,-0,nan,inf,2.5,4\n"
+        "1,0,1.0000000000000001e+300,0.10000000149011612,1180591620717411303424,5,"
+        "0.33333333333333331\n")
 
 
 # --- determinism -----------------------------------------------------------------
@@ -552,7 +659,7 @@ def test_empirical_serializes_the_library_windows(tmp_path, monkeypatch):
     """`empirical` writes the windows and lattice balls the library measured:
     one recentered_window call per j, at the record's center, and none of
     those in-memory objects in report.json."""
-    from spirallimits import cli, limits, spiral
+    from spirallimits import limits, spiral
 
     calls = []
     original = spiral.recentered_window
@@ -561,7 +668,7 @@ def test_empirical_serializes_the_library_windows(tmp_path, monkeypatch):
         calls.append(n)
         return original(alpha, n, *args, **kwargs)
 
-    for module in (spiral, limits, cli):
+    for module in (spiral, limits):
         monkeypatch.setattr(module, "recentered_window", counted)
     out = tmp_path / "emp"
     assert run(["empirical", "--alpha", "quad:1,1,2,5", "--t", 1, "--j", "17:19",
