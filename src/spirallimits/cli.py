@@ -109,7 +109,11 @@ def finite(text: str) -> float:
 
 
 def _parse_floats(text: str):
-    return [finite(x) for x in text.split(",") if x]
+    """The finite floats of a comma list, which must hold at least one."""
+    values = [finite(x) for x in text.split(",") if x]
+    if not values:
+        raise InvalidSpec(f"list {text!r} holds no number")
+    return values
 
 
 def _patch_csv(win, offsets, errs) -> str:

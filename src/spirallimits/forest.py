@@ -20,8 +20,7 @@ from .number_theory import AngleSpec
 from .spiral import recentered_window
 
 VERIFY_MARGIN = 1e-9
-# cap on the uniform direction grid of one rectangle search
-MAX_DIRECTIONS = 4096
+_MAX_GRID_SAMPLES = 4_000_000  # budget of one covering pass's square sample grid
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +67,12 @@ def delone_constants(patch: Patch, grid_step: float) -> DeloneConstants:
         lim = w - margin
         if lim <= 0:
             raise WindowTooLarge("window too small for the sampling margin")
-        # absolute alignment: refining the step must move samples toward holes
-        k = int(math.floor(lim / grid_step))
+        # absolute alignment: refining the step must move samples toward holes;
+        # clamped, so a ratio too large for a float fails the budget below
+        k = math.floor(min(lim / grid_step, _MAX_GRID_SAMPLES))
+        if (2 * k + 1) ** 2 > _MAX_GRID_SAMPLES:
+            raise WindowTooLarge(f"grid step {grid_step:g} puts more than {_MAX_GRID_SAMPLES} "
+                                 f"samples in a radius-{lim:g} covering grid")
         ax = np.arange(-k, k + 1) * grid_step
         gx, gy = np.meshgrid(ax, ax, indexing="ij")
         samples = np.column_stack([gx.ravel(), gy.ravel()])
@@ -129,26 +132,44 @@ class RectangleProbe:
         return float(np.maximum(du, dw).min()) if len(rel) else math.inf
 
 
-def _search_direction(pts, w_radius, eps, length, phi, margin, pad):
-    """Gap sweep for one direction; returns a probe or None.
+def empty_rectangle_search(patch: Patch, eps: float, length: float) -> RectangleProbe | None:
+    """Search for an empty eps x length rectangle inside the patch window.
 
-    The first probe that clears every point by more than margin / 2 is
-    returned when it also clears them by more than ``pad``; otherwise the
-    direction gives None.
+    The rectangle lies along the patch's shortest nonzero point: the rows of
+    a lattice parallel to its shortest vector are the farthest apart, and a
+    collinear window's shortest point lies along its line.  Offsets across
+    that direction sweep gap midpoints and an eps/4 grid; an offset is tried
+    only where the window's chord is at least ``length`` long, so every probe
+    lies inside the window.  The window must be able to hold the rectangle:
+    its radius is at least hypot(length, eps) / 2.  The first probe that
+    clears every point by more than half the verification margin ends the
+    search: it is returned when each point lies outside it by more than the
+    patch's largest point error, and None is returned otherwise.  ``None``
+    is not a proof of non-existence.
     """
+    if eps <= 0 or length <= 0 or eps > length:
+        raise InvalidSpec("need 0 < eps <= length")
+    w_radius = patch.window_radius
+    if w_radius < math.hypot(length, eps) / 2:
+        raise InvalidSpec("the rectangle does not fit in the window: "
+                          "need window radius >= hypot(length, eps) / 2")
+    pts = patch.points
+    norms = np.hypot(pts[:, 0], pts[:, 1])
+    x, y = pts[np.argmin(np.where(norms > 0, norms, np.inf))] if len(pts) else (0.0, 0.0)
+    phi = math.atan2(y, x) % math.pi  # 0 when no point is nonzero
     u = np.array([math.cos(phi), math.sin(phi)])
     wv = np.array([-u[1], u[0]])
     pu = pts @ u
     pw = pts @ wv
-    half_w = eps / 2 + margin + pad
+    pad = patch.max_error
+    half_w = eps / 2 + VERIFY_MARGIN + pad
+    # positive, as the window radius is at least hypot(length, eps) / 2 > eps / 2
     band = w_radius - eps / 2
-    if band <= 0:
-        return None
     # offset candidates: midpoints of cross-direction gaps first, then a grid
     vals = np.unique(np.concatenate([pw, [-band, band]]))
     vals = vals[(vals >= -band - eps) & (vals <= band + eps)]
     gaps = np.diff(vals)
-    mids = ((vals[:-1] + vals[1:]) / 2)[gaps >= eps + 2 * (margin + pad)]
+    mids = ((vals[:-1] + vals[1:]) / 2)[gaps >= eps + 2 * (VERIFY_MARGIN + pad)]
     grid = np.arange(-band, band + eps / 8, eps / 4)
     offsets = np.concatenate([mids[np.argsort(np.abs(mids), kind="stable")], grid])
     for s in offsets:
@@ -163,7 +184,7 @@ def _search_direction(pts, w_radius, eps, length, phi, margin, pad):
         edges = np.concatenate([[-t_half], us, [t_half]])
         widths = np.diff(edges)
         k = int(np.argmax(widths))
-        if widths[k] >= length + 2 * (margin + pad):
+        if widths[k] >= length + 2 * (VERIFY_MARGIN + pad):
             t = (edges[k] + edges[k + 1]) / 2
             probe = RectangleProbe(
                 center=(float(t * u[0] + s * wv[0]), float(t * u[1] + s * wv[1])),
@@ -172,42 +193,8 @@ def _search_direction(pts, w_radius, eps, length, phi, margin, pad):
                 length=length,
             )
             clear = probe.clearance(pts)
-            if clear > margin / 2:
+            if clear > VERIFY_MARGIN / 2:
                 return probe if clear > pad else None
-    return None
-
-
-def empty_rectangle_search(patch: Patch, eps: float, length: float) -> RectangleProbe | None:
-    """Search for an empty eps x length rectangle inside the patch window.
-
-    Candidate directions are a uniform grid mod pi started along the patch's
-    shortest nonzero point: the rows of a lattice parallel to its shortest
-    vector are the farthest apart, and a collinear window's shortest point
-    lies along its line.  Offsets sweep gap midpoints and an eps/4 grid; an
-    offset is tried only where the window's chord is at least ``length``
-    long, so every probe lies inside the window.  The window must be able to
-    hold the rectangle: its radius is at least hypot(length, eps) / 2.
-    Every returned probe is re-verified point by point: each point lies
-    outside it by more than the patch's largest point error.  ``None`` is
-    not a proof of non-existence.
-    """
-    if eps <= 0 or length <= 0 or eps > length:
-        raise InvalidSpec("need 0 < eps <= length")
-    if patch.window_radius < math.hypot(length, eps) / 2:
-        raise InvalidSpec("the rectangle does not fit in the window: "
-                          "need window radius >= hypot(length, eps) / 2")
-    pts = patch.points
-    step = eps / (2 * length)
-    n_dirs = min(MAX_DIRECTIONS, max(4, int(math.ceil(math.pi / step))))
-    norms = np.hypot(pts[:, 0], pts[:, 1])
-    x, y = pts[np.argmin(np.where(norms > 0, norms, np.inf))] if len(pts) else (0.0, 0.0)
-    phi0 = math.atan2(y, x) % math.pi  # 0 when no point is nonzero
-    pad = patch.max_error
-    for k in range(n_dirs):
-        phi = (phi0 + k * math.pi / n_dirs) % math.pi
-        probe = _search_direction(pts, patch.window_radius, eps, length, phi, VERIFY_MARGIN, pad)
-        if probe is not None:
-            return probe
     return None
 
 
@@ -242,6 +229,9 @@ def spiral_empty_rectangle_search(alpha: AngleSpec, window_radius: float,
     rim = window_radius - local_r - 1e-9
     if not 0 < rim < math.inf:
         raise InvalidSpec("window radius not finite or too small for the requested rectangle")
+    if rim * rim == math.inf:  # a rim index too large for a float lies far past 2^63
+        raise InvalidSpec(f"the radius-{window_radius:g} disk reaches past the int64 "
+                          f"index limit 2^63")
     n_center = int(rim * rim)
     if n_min > n_center:
         raise InvalidSpec(f"n_min {n_min} is past the rim index {n_center} of the "

@@ -206,9 +206,10 @@ def _candidates(alpha: AngleSpec, n0: int, radius: float, n_min: int):
     offsets and of that length where it is within one of the radius.  Raises
     InvalidSpec when the box reaches index 2^63.
     """
-    rc = math.sqrt(n0)
+    # clamped at 2^63, so an index or reach too large for a float fails the check below
+    rc = math.sqrt(min(n0, _INDEX_LIMIT))
     w = radius + _FILTER_SLACK
-    k_max = math.ceil(w * (2 * rc + w)) + 1
+    k_max = math.ceil(min(w * (2 * rc + w), _INDEX_LIMIT)) + 1
     if n0 + k_max >= _INDEX_LIMIT:
         raise InvalidSpec(
             f"window of radius {radius:g} about n={n0} reaches index {n0 + k_max}, "
@@ -299,8 +300,8 @@ def recentered_window(alpha: AngleSpec, n_center: int, radius: float, *,
         raise InvalidSpec("radius must be positive and finite")
     if n_center < n_min:
         raise InvalidSpec("center index below n_min")
-    prec = _window_prec(math.sqrt(float(n_center)), radius)
     m, dx, dy, dist, err = _candidates(alpha, n_center, radius, n_min)
+    prec = _window_prec(math.sqrt(float(n_center)), radius)
     cx_iv, cy_iv, (theta, cos, sin) = _position_iv(alpha, n_center, prec)
     with mp.workprec(prec):
         ex, ey = (float((mp.mpf(v.a) + mp.mpf(v.b)) / 2) for v in (cos, sin))

@@ -221,6 +221,30 @@ def test_index_past_int64_is_an_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and "2^63" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["patch", "--alpha", "quad:1,1,2,5", "--center-index", 10**6, "--window", "1e300"],
+    ["patch", "--alpha", "quad:1,1,2,5", "--center-index", 10**6, "--window", "1e200"],
+    ["patch", "--alpha", "quad:1,1,2,5", "--center-index", 10**400, "--window", 8],
+    ["delone", "--alpha", "quad:1,1,2,5", "--center-index", 10**6, "--window", "1e300"],
+    ["empirical", "--alpha", "quad:1,1,2,5", "--t", 1, "--j", "10:12", "--window", "1e300"],
+    ["empirical", "--alpha", "quad:1,1,2,5", "--t", "1e-200", "--j", "10:12", "--window", 8],
+    ["orbit", "--alpha", "quad:1,1,2,5", "--t", 1, "--j", 25, "--b", "0:2",
+     "--window", "1e300"],
+    ["orbit", "--alpha", "quad:1,1,2,5", "--t", "1e-200", "--j", 25, "--b", "0:2",
+     "--window", 8],
+    ["forest", "--alpha", "quad:1,1,2,5", "--window-radius", "1e300", "--eps", 0.2,
+     "--lengths", 10],
+])
+def test_reach_too_large_for_a_float_is_an_error_line(tmp_path, capsys, argv):
+    """A window whose index or reach overflows a float exits 2 naming the
+    int64 index limit, instead of an OverflowError traceback."""
+    out = tmp_path / "run"
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2^63" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_exit_codes(tmp_path):
     assert run(["cf", "--alpha", "rat:1/0", "--count", 5,
                 "--out", tmp_path / "bad"]) == 2
@@ -257,6 +281,9 @@ def test_forest_keeps_witnesses_whose_svg_is_over_budget(tmp_path):
 @pytest.mark.parametrize("args", [
     ["density", "--alpha", "quad:1,1,2,5", "--r", "1.5,inf"],
     ["triplets", "--alpha", "quad:1,1,2,5", "--j", "0:3"],
+    ["density", "--alpha", "quad:1,1,2,5", "--r", ","],
+    ["forest", "--alpha", "quad:1,1,2,5", "--window-radius", 300, "--eps", 0.2,
+     "--lengths", ","],
 ])
 def test_failed_run_creates_no_run_directory(tmp_path, capsys, args):
     """A handler that fails leaves no --out behind, not even an empty one."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import window_oracle
 
-from spirallimits import GOLDEN, InvalidSpec, RationalAngle, forest
+from spirallimits import GOLDEN, InvalidSpec, RationalAngle, WindowTooLarge, forest
 from spirallimits.chabauty_metric import Patch
 from spirallimits.forest import (
     RectangleProbe,
@@ -87,6 +87,15 @@ def test_delone_spiral_window_bounded():
     assert dc.covering_estimate < 2.0
 
 
+def test_delone_grid_budget():
+    """A covering grid past the sample budget raises before it is allocated;
+    the budget admits the W = 40, step 0.05 grid of 1441^2 samples."""
+    with pytest.raises(WindowTooLarge, match="more than 4000000 samples"):
+        delone_constants(z2_patch(8.0), 1e-4)  # 144001^2, about 2.1e10 samples
+    two = Patch(np.array([[0.0, 0.0], [1.0, 0.0]]), 40.0)
+    assert delone_constants(two, 0.05).packing == 0.5
+
+
 def test_large_partial_quotient_covering_spike():
     """Exploratory: a big quotient degrades covering in its annulus.
 
@@ -143,29 +152,21 @@ def test_z2_strip_found_and_verified():
     assert probe.clearance(patch.points) > 0
 
 
-def test_probe_within_point_error_moves_to_next_direction(monkeypatch):
+def test_probe_within_point_error_gives_none(monkeypatch):
     """A probe that clears the verification margin but not the point error
-    ends its direction: the search returns the first probe of the next one,
-    after one clearance check of the rejected probe."""
+    ends the search with None, after one clearance check."""
     ball = z2_patch(10.0)
     patch = Patch(ball.points, 10.0, point_errors=np.full(len(ball), 1e-6))
-    assert empty_rectangle_search(patch, 0.5, 8.0).direction == 0.0
-    true_clearance = RectangleProbe.clearance
+    assert empty_rectangle_search(patch, 0.5, 8.0) is not None
     asked = []
 
-    def within_error(probe, points):
-        if probe.direction == 0.0:  # as if a point sat within its error of the box
-            asked.append(probe)
-            return patch.max_error / 2
-        return true_clearance(probe, points)
+    def within_error(probe, points):  # as if a point sat within its error of the box
+        asked.append(probe)
+        return patch.max_error / 2
 
     monkeypatch.setattr(RectangleProbe, "clearance", within_error)
-    probe = empty_rectangle_search(patch, 0.5, 8.0)
-    # the next of the 101 grid directions for eps = 0.5, V = 8
-    assert probe == RectangleProbe(center=(0.17096650293657145, -5.494680392117385),
-                                   direction=math.pi / 101, width=0.5, length=8.0)
+    assert empty_rectangle_search(patch, 0.5, 8.0) is None
     assert len(asked) == 1
-    assert true_clearance(probe, patch.points) > patch.max_error
 
 
 def test_rational_axis_rays_strip():
@@ -237,26 +238,40 @@ def test_spiral_witness_rational_half_strip():
     assert not w.local_probe.contains(w.patch.points).any()
 
 
-def test_first_direction_is_the_shortest_point(monkeypatch):
-    """The sweep starts along the patch's shortest nonzero point; on a
+def test_first_direction_is_the_shortest_point():
+    """The rectangle lies along the patch's shortest nonzero point; on a
     collinear rational window that is the ray through the center, mod pi."""
     alpha, n = parse_angle("rat:13/21"), 10**6 + 5
     win, offsets, errs = recentered_window(alpha, n, 12.0)
     patch = Patch(offsets, 12.0, point_errors=errs)
-    tried = []
-    search = forest._search_direction
-
-    def record(pts, w_radius, eps, length, phi, margin, pad):
-        tried.append(phi)
-        return search(pts, w_radius, eps, length, phi, margin, pad)
-
-    monkeypatch.setattr(forest, "_search_direction", record)
-    assert empty_rectangle_search(patch, 0.2, 10.0) is not None
+    probe = empty_rectangle_search(patch, 0.2, 10.0)
+    assert probe is not None
     center = spiral_point(alpha, n)
     ray = math.atan2(center.y, center.x) % math.pi
-    gap = abs(tried[0] - ray)
+    gap = abs(probe.direction - ray)
     assert min(gap, math.pi - gap) < 1e-9
     assert min(ray, math.pi - ray) > 0.1  # not 0, where a grid fixed to the axes starts
+
+
+def test_search_without_witness_scans_one_direction():
+    """A search that finds nothing projects the window on one pair of axes,
+    along its shortest point and across it, and sweeps no other direction."""
+    seen = []
+
+    class Projections(np.ndarray):
+        """Points that record each vector they are projected on."""
+
+        def __matmul__(self, other):
+            seen.append(tuple(other))
+            return np.asarray(self) @ other
+
+    # the rim window of spiral_empty_rectangle_search(GOLDEN, 60.0, 1.0, 40.0)
+    win, offsets, errs = recentered_window(GOLDEN, 1368, 23.0)
+    patch = Patch(offsets, 23.0, point_errors=errs)
+    patch.points = patch.points.view(Projections)
+    assert empty_rectangle_search(patch, 1.0, 40.0) is None
+    (ux, uy), (wx, wy) = seen
+    assert (wx, wy) == (-uy, ux)
 
 
 # --- independent re-verification ----------------------------------------------
