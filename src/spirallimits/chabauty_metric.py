@@ -35,7 +35,8 @@ class Patch:
     the points are pairwise distinct as rows compared exactly, so -0.0
     equals 0.0 and points one ulp apart are distinct, and that
     ``point_errors``, when given, holds one finite value >= 0 per point.
-    Distinctness is checked by sorting the rows and comparing neighbours.
+    Distinctness is checked by sorting the rows and comparing neighbours
+    column by column.
     Completeness is the caller's contract; windows built by the spiral and
     lattice enumerators satisfy it by construction.
     """
@@ -61,8 +62,9 @@ class Patch:
                 )
             if len(pts) > 1:
                 # equal rows are adjacent once sorted (NaN is excluded above)
-                srt = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-                if (srt[1:] == srt[:-1]).all(axis=1).any():
+                order = np.lexsort((pts[:, 1], pts[:, 0]))
+                x, y = pts[order, 0], pts[order, 1]
+                if ((x[1:] == x[:-1]) & (y[1:] == y[:-1])).any():
                     raise InvalidSpec("patch points must be pairwise distinct")
         if self.point_errors is not None:
             errs = np.asarray(self.point_errors, dtype=np.float64)

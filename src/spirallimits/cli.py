@@ -38,6 +38,7 @@ from .number_theory import (
 )
 
 PRECISION_POLICY = f"bits(n) + {PREC_PAD}"
+_MAX_RANGE = 10_000  # budget of integers in one lo:hi range argument
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +87,8 @@ def _csv_text(header, rows) -> str:
 
 
 def _parse_range(text: str) -> range:
-    """The integers lo..hi of the text "lo:hi", which must have lo <= hi."""
+    """The integers lo..hi of the text "lo:hi", which must have lo <= hi and
+    hold at most _MAX_RANGE integers."""
     lo, _, hi = text.partition(":")
     try:
         values = range(int(lo), int(hi) + 1)
@@ -94,6 +96,10 @@ def _parse_range(text: str) -> range:
         values = range(0)
     if not values:
         raise InvalidSpec(f"range {text!r} is not lo:hi with integers lo <= hi")
+    # stop - start, not len(): len() overflows past sys.maxsize integers
+    if values.stop - values.start > _MAX_RANGE:
+        raise InvalidSpec(f"range {text!r} holds {values.stop - values.start} integers, "
+                          f"more than {_MAX_RANGE}")
     return values
 
 

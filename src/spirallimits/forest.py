@@ -192,7 +192,13 @@ def empty_rectangle_search(patch: Patch, eps: float, length: float) -> Rectangle
                 width=eps,
                 length=length,
             )
-            clear = probe.clearance(pts)
+            # A point with |pw - s| >= half_w + eps lies at least eps +
+            # VERIFY_MARGIN + pad across the probe, up to rounding of about
+            # 1e-14 * W (far below VERIFY_MARGIN / 2 for W < 1e4), so it
+            # clears both thresholds below: the points of this wider strip
+            # decide as all points would.
+            near = np.abs(pw - s) < half_w + eps
+            clear = probe.clearance(pts[near])
             if clear > VERIFY_MARGIN / 2:
                 return probe if clear > pad else None
     return None

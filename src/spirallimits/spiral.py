@@ -285,11 +285,12 @@ def recentered_window(alpha: AngleSpec, n_center: int, radius: float, *,
 
     Returns (IndexWindow, offsets, errs): offsets are x_m - x_{n_center} as
     float64 rows, sorted by m, and errs bounds the Euclidean error of each
-    row; it is one value for the whole window.  Offsets are evaluated in
-    float64 in the frame rotated to the center (see ``_candidates``) and
-    turned by the midpoints of the cosine and sine enclosures of the center's
-    angle; an enclosure of frac(n_center * alpha) of half-width h makes that
-    turn off by at most 2 pi h |offset|.  The same one interval evaluation of
+    row; it is one value for the whole window, stored once as a read-only
+    stride-0 view.  Offsets are evaluated in float64 in the frame rotated to
+    the center (see ``_candidates``) and turned by the midpoints of the
+    cosine and sine enclosures of the center's angle; an enclosure of
+    frac(n_center * alpha) of half-width h makes that turn off by at most
+    2 pi h |offset|.  The same one interval evaluation of
     the center gives ``IndexWindow.center`` and the boundary check's center.
     Points farther than the bound from the radius are decided by their float
     distance; the rest are settled by interval arithmetic, which raises
@@ -331,7 +332,7 @@ def recentered_window(alpha: AngleSpec, n_center: int, radius: float, *,
     offsets[m == n_center] = 0.0
     center = (_mid(cx_iv), _mid(cy_iv))  # as spiral_point(alpha, n_center, prec) exports it
     win = IndexWindow(center=center, indices=m)
-    return win, offsets, np.full(len(m), err)
+    return win, offsets, np.broadcast_to(err, len(m))
 
 
 def offset_between(alpha: AngleSpec, m: int, n: int, prec: int | None = None):

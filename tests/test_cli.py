@@ -325,16 +325,29 @@ def test_out_naming_a_file_is_an_error_line(tmp_path, capsys):
     ["spiral", "--alpha", "quad:1,1,2,5", "--n-range", "5:1"],
     ["orbit", "--alpha", "quad:1,1,2,5", "--t", "1", "--j", "19", "--window", "8",
      "--b", "3:1"],
+    # over the 10,000-integer budget, including one past sys.maxsize integers
+    ["spiral", "--alpha", "quad:1,1,2,5", "--n-range", "1:10001"],
+    ["spiral", "--alpha", "quad:1,1,2,5", "--n-range", "1:100000000000000000000"],
+    ["triplets", "--alpha", "quad:1,1,2,5", "--j", "1:10001"],
+    ["empirical", "--alpha", "quad:1,1,2,5", "--t", "1", "--window", "8",
+     "--j", "10:10010"],
+    ["orbit", "--alpha", "quad:1,1,2,5", "--t", "1", "--j", "19", "--window", "8",
+     "--b", "0:10000"],
 ])
 def test_malformed_range_is_an_error_line(tmp_path, capsys, argv):
-    """A range that is not lo:hi integers with lo <= hi exits 2 naming the
-    text, instead of a cryptic message or an empty artifact."""
+    """A range that is not lo:hi integers with lo <= hi, or that holds more
+    than 10,000 integers, exits 2 naming the text, instead of a cryptic
+    message, an empty artifact or a run that holds every row in memory."""
     out = tmp_path / "run"
     assert run(argv + ["--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: range ") and repr(argv[-1]) in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_range_budget_admits_ten_thousand_integers():
+    assert len(cli._parse_range("-4999:5000")) == 10_000
 
 
 @pytest.mark.parametrize("argv, option, value", [

@@ -169,6 +169,57 @@ def test_probe_within_point_error_gives_none(monkeypatch):
     assert len(asked) == 1
 
 
+def full_clearance(monkeypatch, patch):
+    """Make the search's clearance check run over every point of ``patch``."""
+    clearance = RectangleProbe.clearance
+    monkeypatch.setattr(RectangleProbe, "clearance",
+                        lambda probe, points: clearance(probe, patch.points))
+
+
+@pytest.mark.parametrize("spec", ["quad:1,1,2,5", "quad:0,1,1,2", "rat:1/2", "rat:13/21"])
+def test_strip_clearance_decides_like_the_full_check(monkeypatch, spec):
+    """The clearance check over the points within half_w + eps of the probe's
+    strip returns what the check over every window point returns."""
+    alpha, rng = parse_angle(spec), np.random.default_rng(29)
+    for length in (10.0, 20.0, 40.0):
+        n, local_r = int(rng.integers(10**5, 10**6)), length / 2 + 0.2 + 2
+        win, offsets, errs = recentered_window(alpha, n, local_r)
+        patch = Patch(offsets, local_r, point_errors=errs)
+        probe = empty_rectangle_search(patch, 0.2, length)
+        assert probe is not None
+        assert probe.clearance(patch.points) > max(forest.VERIFY_MARGIN / 2, patch.max_error)
+        with monkeypatch.context() as m:
+            full_clearance(m, patch)
+            assert empty_rectangle_search(patch, 0.2, length) == probe
+
+
+def test_strip_clearance_checks_a_point_just_outside_the_sweep_strip(monkeypatch):
+    """The one point beside the probe lies between half_w and half_w + eps
+    across it: it is checked, sets the clearance, and the probe is the one
+    the check over every point returns."""
+    eps, length = 0.2, 4.0
+    near, far = (1.0, 0.0), (0.0, 5.0)  # near is the shortest point: direction 0
+    patch = Patch(np.array([near, (8.0, -0.35), (-8.0, -0.35), far]), 10.0)
+    # the gap between the rows pw = -0.35 and pw = 0 puts the strip at -0.175
+    checked = []
+    clearance = RectangleProbe.clearance
+
+    def record(probe, points):
+        checked.extend(map(tuple, points))
+        return clearance(probe, points)
+
+    monkeypatch.setattr(RectangleProbe, "clearance", record)
+    probe = empty_rectangle_search(patch, eps, length)
+    assert probe == RectangleProbe(center=(0.0, -0.175), direction=0.0, width=eps,
+                                   length=length)
+    half_w = eps / 2 + forest.VERIFY_MARGIN
+    assert half_w < 0.175 < half_w + eps
+    assert near in checked and far not in checked
+    assert clearance(probe, patch.points) == pytest.approx(0.175 - eps / 2)
+    full_clearance(monkeypatch, patch)
+    assert empty_rectangle_search(patch, eps, length) == probe
+
+
 def test_rational_axis_rays_strip():
     # alpha = 1/2 puts every point on the x axis
     pts = np.array([[spiral_point(RationalAngle(1, 2), n).x, 0.0] for n in range(1, 901)])

@@ -18,6 +18,7 @@ from spirallimits import (
     WindowTooLarge,
 )
 from spirallimits import spiral
+from spirallimits.chabauty_metric import Patch
 from spirallimits.number_theory import convergents, parse_angle
 from spirallimits.spiral import (
     angle_fraction,
@@ -162,6 +163,19 @@ def test_window_membership_recheck_double_precision():
         m = int(win.indices[i])
         x, y, err = offset_between(GOLDEN, m, 10**6, prec=320)
         assert math.hypot(x - offsets[i, 0], y - offsets[i, 1]) <= errs[i] + err
+
+
+def test_window_error_is_stored_once():
+    """errs is one read-only value viewed once per point, and a Patch keeps
+    that view without copying it."""
+    win, offsets, errs = recentered_window(RationalAngle(1, 2), 10**6, 8.0)
+    assert errs.strides == (0,) and errs.shape == (len(win),)
+    assert (errs == errs[0]).all() and errs[0] > 0
+    patch = Patch(offsets, 8.0, point_errors=errs)
+    assert np.shares_memory(patch.point_errors, errs)
+    assert patch.max_error == errs[0]
+    with pytest.raises(ValueError):
+        patch.point_errors[0] = 0.0
 
 
 def test_window_annulus_bound_invariant():
