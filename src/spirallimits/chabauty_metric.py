@@ -100,13 +100,30 @@ class Patch:
         q = self.points if own else np.asarray(queries, dtype=np.float64).reshape(-1, 2)
         if len(self) < (2 if own else 1) or not len(q):
             return np.full(len(q), np.inf)
-        try:
-            from scipy.spatial import cKDTree
-        except ImportError as exc:
-            raise SpiralLimitsError(f"nearest-neighbour queries need scipy: {exc}") from exc
+        spatial = _spatial()
         if own:
-            return cKDTree(q).query(q, k=2)[0][:, 1]
-        return cKDTree(self.points).query(q, k=1)[0]
+            return spatial.cKDTree(q).query(q, k=2)[0][:, 1]
+        return spatial.cKDTree(self.points).query(q, k=1)[0]
+
+    def voronoi_vertices(self) -> np.ndarray:
+        """Vertices of the points' Voronoi diagram as (k, 2) rows; none where
+        Qhull finds no diagram (under three points, or all on one line)."""
+        if len(self) < 3:
+            return np.empty((0, 2))
+        spatial = _spatial()
+        try:
+            return spatial.Voronoi(self.points).vertices
+        except spatial.QhullError:
+            return np.empty((0, 2))
+
+
+def _spatial():
+    """scipy.spatial, imported on first use; SpiralLimitsError where missing."""
+    try:
+        from scipy import spatial
+    except ImportError as exc:
+        raise SpiralLimitsError(f"spatial queries need scipy: {exc}") from exc
+    return spatial
 
 
 @dataclass(frozen=True)

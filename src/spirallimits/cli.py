@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from . import __version__
@@ -38,7 +39,7 @@ from .number_theory import (
 )
 
 PRECISION_POLICY = f"bits(n) + {PREC_PAD}"
-_MAX_RANGE = 10_000  # budget of integers in one lo:hi range argument
+_MAX_RANGE = 10_000  # budget of integers in one lo:hi range argument or cf --count
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +80,11 @@ def _json_text(obj) -> str:
 
 
 def _csv_text(header, rows) -> str:
+    """Ints written exactly at any size (str of an int refuses past 4,300
+    digits, str of its Decimal does not); other cells as _fmt17."""
     lines = [",".join(header)]
     for row in rows:
-        cells = [str(int(v)) if isinstance(v, int) else _fmt17(v) for v in map(_python, row)]
+        cells = [str(Decimal(v)) if isinstance(v, int) else _fmt17(v) for v in map(_python, row)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -183,6 +186,8 @@ def _read_patch(path: Path, window: float | None):
 # ---------------------------------------------------------------------------
 
 def _cmd_cf(args):
+    if args.count > _MAX_RANGE:
+        raise InvalidSpec(f"count {args.count} is more than {_MAX_RANGE}")
     alpha = parse_angle(args.alpha)
     quots = expand_cf(alpha, args.count)
     convs = convergents(alpha, args.count)
@@ -398,7 +403,7 @@ def _cmd_delone(args):
 
     alpha = parse_angle(args.alpha)
     patch = empirical_limit_patch(alpha, args.center_index, args.window)
-    return {"delone.json": _json_text(delone_constants(patch, args.grid_step))}, {}
+    return {"delone.json": _json_text(delone_constants(patch))}, {}
 
 
 def _cmd_report(args):
@@ -537,7 +542,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--center-index", type=int, required=True)
     p.add_argument("--window", type=finite, required=True)
-    p.add_argument("--grid-step", type=finite, default=0.05)
 
     p = add("report", help="summarize a run directory")
     p.add_argument("--run", required=True)

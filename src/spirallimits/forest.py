@@ -15,12 +15,11 @@ from fractions import Fraction
 import numpy as np
 
 from .chabauty_metric import Patch
-from .errors import InvalidSpec, WindowTooLarge
+from .errors import InvalidSpec
 from .number_theory import AngleSpec
 from .spiral import recentered_window
 
 VERIFY_MARGIN = 1e-9
-_MAX_GRID_SAMPLES = 4_000_000  # budget of one covering pass's square sample grid
 
 
 # ---------------------------------------------------------------------------
@@ -37,62 +36,50 @@ def density_ratio(alpha: AngleSpec, r: float, n_min: int = 1) -> float:
 
 @dataclass(frozen=True)
 class DeloneConstants:
-    """Packing radius and interior grid estimate of the covering radius."""
+    """Packing radius and a certified lower bound on the covering radius."""
 
     packing: float
-    covering_estimate: float
+    covering_lower: float
+    covering_center: tuple
     window: str
-    grid_step: float
-    margin: float
-    samples: int
 
 
-def delone_constants(patch: Patch, grid_step: float) -> DeloneConstants:
-    """Exact pairwise packing radius plus a grid covering estimate.
+def delone_constants(patch: Patch) -> DeloneConstants:
+    """Pairwise packing radius and the largest empty disk found in B_W.
 
-    Covering sampling is interior-only: a first pass estimates the covering
-    radius, the second samples only locations whose covering disk provably
-    stays inside the window, so missing points beyond the window cannot
-    inflate the estimate.
+    A disk in B_W holding no window point holds no point of the set, as the
+    window is complete.  Centers: the Voronoi vertices, and the point (W +
+    tau) / 2 across the line along the shortest point, tau being the points'
+    largest distance from it (W / 2 on a collinear window).  Center c gets
+    radius min(nearest(c), W - |c|); the largest, less the point error (the
+    nearest distance is 1-Lipschitz in the points) and 4 ulps of W for
+    rounding, is ``covering_lower``, a lower bound on the covering radius.
     """
     pts = patch.points
     if len(pts) < 2:
         raise InvalidSpec("need at least two points")
-    if grid_step <= 0:
-        raise InvalidSpec("grid step must be positive")
     w = patch.window_radius
     packing = float(patch.nearest().min()) / 2
-
-    def covering_pass(margin):
-        lim = w - margin
-        if lim <= 0:
-            raise WindowTooLarge("window too small for the sampling margin")
-        # absolute alignment: refining the step must move samples toward holes;
-        # clamped, so a ratio too large for a float fails the budget below
-        k = math.floor(min(lim / grid_step, _MAX_GRID_SAMPLES))
-        if (2 * k + 1) ** 2 > _MAX_GRID_SAMPLES:
-            raise WindowTooLarge(f"grid step {grid_step:g} puts more than {_MAX_GRID_SAMPLES} "
-                                 f"samples in a radius-{lim:g} covering grid")
-        ax = np.arange(-k, k + 1) * grid_step
-        gx, gy = np.meshgrid(ax, ax, indexing="ij")
-        samples = np.column_stack([gx.ravel(), gy.ravel()])
-        samples = samples[np.hypot(samples[:, 0], samples[:, 1]) <= lim]
-        if len(samples) == 0:
-            raise WindowTooLarge("no interior samples at this grid step")
-        dist = patch.nearest(samples)
-        return float(dist.max()), len(samples)
-
-    first, _ = covering_pass(max(grid_step, w / 10))
-    margin = max(grid_step, first + grid_step)
-    covering, n_samples = covering_pass(margin)
+    _, _, across = _shortest_axis(pts)
+    tau = float(np.abs(pts @ across).max())
+    centers = np.vstack([patch.voronoi_vertices(), (w + tau) / 2 * across])
+    radii = np.minimum(patch.nearest(centers), w - np.hypot(centers[:, 0], centers[:, 1]))
+    best = int(np.argmax(radii))
     return DeloneConstants(
         packing=packing,
-        covering_estimate=covering,
+        covering_lower=float(radii[best]) - patch.max_error - 4 * math.ulp(w),
+        covering_center=tuple(float(v) for v in centers[best]),
         window=patch.provenance or f"patch W={w:g}",
-        grid_step=grid_step,
-        margin=margin,
-        samples=n_samples,
     )
+
+
+def _shortest_axis(pts: np.ndarray):
+    """Angle in [0, pi) of the shortest nonzero point (0 if none); unit vectors along, across."""
+    norms = np.hypot(pts[:, 0], pts[:, 1])
+    x, y = pts[np.argmin(np.where(norms > 0, norms, np.inf))] if len(pts) else (0.0, 0.0)
+    phi = math.atan2(y, x) % math.pi
+    u = np.array([math.cos(phi), math.sin(phi)])
+    return phi, u, np.array([-u[1], u[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +141,7 @@ def empty_rectangle_search(patch: Patch, eps: float, length: float) -> Rectangle
         raise InvalidSpec("the rectangle does not fit in the window: "
                           "need window radius >= hypot(length, eps) / 2")
     pts = patch.points
-    norms = np.hypot(pts[:, 0], pts[:, 1])
-    x, y = pts[np.argmin(np.where(norms > 0, norms, np.inf))] if len(pts) else (0.0, 0.0)
-    phi = math.atan2(y, x) % math.pi  # 0 when no point is nonzero
-    u = np.array([math.cos(phi), math.sin(phi)])
-    wv = np.array([-u[1], u[0]])
+    phi, u, wv = _shortest_axis(pts)
     pu = pts @ u
     pw = pts @ wv
     pad = patch.max_error

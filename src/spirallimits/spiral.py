@@ -211,10 +211,11 @@ def _candidates(alpha: AngleSpec, n0: int, radius: float, n_min: int):
     w = radius + _FILTER_SLACK
     k_max = math.ceil(min(w * (2 * rc + w), _INDEX_LIMIT)) + 1
     if n0 + k_max >= _INDEX_LIMIT:
-        raise InvalidSpec(
-            f"window of radius {radius:g} about n={n0} reaches index {n0 + k_max}, "
-            f"past the int64 limit 2^63"
-        )
+        # an n of more than 2000 bits is named by its bit length: str() may
+        # refuse an int past 640 digits, the lowest of Python's digit limits
+        reach = (f"n={n0} reaches index {n0 + k_max}," if n0.bit_length() <= 2000
+                 else f"a {n0.bit_length()}-bit n lies")
+        raise InvalidSpec(f"window of radius {radius:g} about {reach} past the int64 limit 2^63")
     half_turns = min(0.5, w / (4 * (rc - w))) if rc > w else 0.5
     k, turns, gap_err = _lattice_box(alpha, k_max, half_turns)
     m = k + n0

@@ -366,3 +366,13 @@ def test_nearest_on_a_collinear_rational_window():
                           nearest_oracle(patch.points, patch.points[rows], own_rows=rows))
     samples = rng.uniform(-8.0, 8.0, (300, 2))
     assert np.array_equal(patch.nearest(samples), nearest_oracle(patch.points, samples))
+
+
+def test_voronoi_vertices():
+    """Empty (0, 2) rows for under three points or a collinear window; the
+    cell corners of a unit square are its center."""
+    line = Patch(np.array([[-1.0, 0.0], [0.0, 0.0], [2.0, 0.0]]), 5)
+    for patch in (Patch.empty(5), Patch(np.array([[1.0, 0.0], [0.0, 1.0]]), 5), line):
+        assert patch.voronoi_vertices().shape == (0, 2)
+    square = Patch(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 5)
+    assert np.allclose(square.voronoi_vertices(), [[0.5, 0.5]])

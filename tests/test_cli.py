@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -98,9 +99,44 @@ def test_orbit_and_compare_forms(tmp_path):
 def test_delone_cli(tmp_path):
     out = tmp_path / "del"
     assert run(["delone", "--alpha", "quad:1,1,2,5", "--center-index", 100000,
-                "--window", 10, "--grid-step", 0.2, "--out", out]) == 0
+                "--window", 10, "--out", out]) == 0
     data = read_json(out / "delone.json")
     assert float(data["packing"]) > 0.2
+    assert sorted(data) == ["covering_center", "covering_lower", "packing", "window"]
+
+
+def test_delone_cli_collinear_window(tmp_path):
+    """A rational ray's window lies on one line: the covering bound is W/2
+    less the window error, and the run exits 0."""
+    out = tmp_path / "del"
+    assert run(["delone", "--alpha", "rat:1/2", "--center-index", 1000000,
+                "--window", 8, "--out", out]) == 0
+    covering = float(read_json(out / "delone.json")["covering_lower"])
+    assert 4.0 - 1e-12 <= covering < 4.0
+
+
+def test_cf_writes_convergents_past_the_int_to_str_limit(tmp_path):
+    """Convergents of more than 4,300 digits are written exactly."""
+    from spirallimits.number_theory import convergents, parse_angle
+
+    out = tmp_path / "cf"
+    alpha = "quad:0,1,1,1000001"
+    assert run(["cf", "--alpha", alpha, "--count", 2000, "--out", out]) == 0
+    rows = (out / "convergents.csv").read_text().strip().splitlines()[1:]
+    expected = [c.q for c in convergents(parse_angle(alpha), 2000)]
+    # int() of a decimal string has the same digit limit; Decimal has none
+    assert [int(Decimal(row.split(",")[3])) for row in rows] == expected
+    assert max(expected).bit_length() > 14_300  # past 4,300 digits
+
+
+def test_cf_count_budget(tmp_path, capsys):
+    """--count shares the 10,000-integer budget of a range argument."""
+    out = tmp_path / "cf"
+    assert run(["cf", "--alpha", "quad:1,1,2,5", "--count", 10001, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: count 10001 ") and "10000" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_delta_between_patch_files(tmp_path):
@@ -234,10 +270,15 @@ def test_index_past_int64_is_an_error_line(tmp_path, capsys):
      "--window", 8],
     ["forest", "--alpha", "quad:1,1,2,5", "--window-radius", "1e300", "--eps", 0.2,
      "--lengths", 10],
+    # centers n_j of more than 4,300 digits, which str() refuses to write
+    ["empirical", "--alpha", "quad:1,1,2,5", "--t", 1, "--j", "25000:25001", "--window", 8],
+    ["orbit", "--alpha", "quad:1,1,2,5", "--t", 1, "--j", 30000, "--b", "0:2",
+     "--window", 8],
 ])
 def test_reach_too_large_for_a_float_is_an_error_line(tmp_path, capsys, argv):
-    """A window whose index or reach overflows a float exits 2 naming the
-    int64 index limit, instead of an OverflowError traceback."""
+    """A window whose index or reach overflows a float, or whose index is too
+    long to write in decimal, exits 2 naming the int64 index limit, instead
+    of an OverflowError traceback or Python's digit-limit message."""
     out = tmp_path / "run"
     assert run(argv + ["--out", out]) == 2
     err = capsys.readouterr().err

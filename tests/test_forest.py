@@ -55,45 +55,118 @@ def test_density_counts_only_existing_indices():
 
 # --- delone constants --------------------------------------------------------
 
+GRID_BUDGET = 4_000_000  # samples in one pass of the grid oracle
+
+
+def grid_covering(patch, grid_step):
+    """Slow oracle: the largest nearest distance over a square sample grid.
+
+    Two passes: the first estimates the covering radius, the second samples
+    only where the covering disk provably stays inside the window, so the
+    result is at most the covering radius of the set.  A grid of more than
+    GRID_BUDGET samples raises WindowTooLarge before it is allocated.
+    """
+    w = patch.window_radius
+
+    def covering_pass(margin):
+        lim = w - margin
+        if lim <= 0:
+            raise WindowTooLarge("window too small for the sampling margin")
+        # absolute alignment: refining the step must move samples toward holes
+        k = math.floor(min(lim / grid_step, GRID_BUDGET))
+        if (2 * k + 1) ** 2 > GRID_BUDGET:
+            raise WindowTooLarge(f"more than {GRID_BUDGET} samples")
+        ax = np.arange(-k, k + 1) * grid_step
+        gx, gy = np.meshgrid(ax, ax, indexing="ij")
+        samples = np.column_stack([gx.ravel(), gy.ravel()])
+        samples = samples[np.hypot(samples[:, 0], samples[:, 1]) <= lim]
+        return float(patch.nearest(samples).max())
+
+    first = covering_pass(max(grid_step, w / 10))
+    return covering_pass(max(grid_step, first + grid_step))
+
+
+def assert_empty_disk_in_window(patch, dc):
+    """Brute force: no window point lies inside the covering witness disk,
+    which lies inside B_W."""
+    cx, cy = dc.covering_center
+    pts = patch.points
+    assert np.hypot(pts[:, 0] - cx, pts[:, 1] - cy).min() >= dc.covering_lower
+    assert math.hypot(cx, cy) + dc.covering_lower <= patch.window_radius
+
+
 def test_delone_z2():
-    dc = delone_constants(z2_patch(), 0.05)
+    patch = z2_patch()
+    dc = delone_constants(patch)
     assert dc.packing == 0.5
-    assert abs(dc.covering_estimate - math.sqrt(2) / 2) <= 0.05
+    assert math.sqrt(2) / 2 - 1e-12 <= dc.covering_lower <= math.sqrt(2) / 2
+    assert_empty_disk_in_window(patch, dc)
 
 
 def test_delone_covering_converges_with_grid():
     true = math.sqrt(2) / 2
     gaps = []
     for step in (0.2, 0.1, 0.05):
-        dc = delone_constants(z2_patch(), step)
-        gaps.append(abs(dc.covering_estimate - true))
+        gaps.append(abs(grid_covering(z2_patch(), step) - true))
     assert gaps[1] <= gaps[0] / 2 + 1e-9
     assert gaps[2] <= gaps[1] / 2 + 1e-9
 
 
 def test_delone_random_reduced_basis_covering():
-    rng = np.random.default_rng(6)
     b = Basis2((1.1, 0.1), (-0.2, 1.3))
     patch = lattice_ball(b, 12.0)
-    fine = delone_constants(patch, 0.02)
-    coarse = delone_constants(patch, 0.08)
-    assert abs(coarse.covering_estimate - fine.covering_estimate) <= 0.1
+    fine = grid_covering(patch, 0.02)
+    coarse = grid_covering(patch, 0.08)
+    assert abs(coarse - fine) <= 0.1
+    dc = delone_constants(patch)
+    assert fine <= dc.covering_lower <= fine + 0.02 * math.sqrt(2) / 2
 
 
 def test_delone_spiral_window_bounded():
     patch = empirical_limit_patch(GOLDEN, 10**6, 12.0)
-    dc = delone_constants(patch, 0.1)
+    dc = delone_constants(patch)
     assert dc.packing > 0.3
-    assert dc.covering_estimate < 2.0
+    assert dc.covering_lower < 2.0
+    assert_empty_disk_in_window(patch, dc)
 
 
 def test_delone_grid_budget():
     """A covering grid past the sample budget raises before it is allocated;
     the budget admits the W = 40, step 0.05 grid of 1441^2 samples."""
     with pytest.raises(WindowTooLarge, match="more than 4000000 samples"):
-        delone_constants(z2_patch(8.0), 1e-4)  # 144001^2, about 2.1e10 samples
+        grid_covering(z2_patch(8.0), 1e-4)  # 144001^2, about 2.1e10 samples
     two = Patch(np.array([[0.0, 0.0], [1.0, 0.0]]), 40.0)
-    assert delone_constants(two, 0.05).packing == 0.5
+    assert grid_covering(two, 0.05) > 0
+    assert delone_constants(two).packing == 0.5
+
+
+@pytest.mark.parametrize("spec", ["quad:1,1,2,5", "quad:0,1,1,2", "quad:5,-3,7,11"])
+def test_delone_covering_lies_just_above_the_grid_oracle(spec):
+    """The largest empty disk is at or above the grid maximum, and within the
+    grid's half diagonal of it; its witness disk is empty and inside B_W."""
+    step, rng = 0.05, np.random.default_rng(31)
+    for exponent in (6, 9, 12):
+        n = int(10**exponent * rng.uniform(1, 10))
+        patch = empirical_limit_patch(parse_angle(spec), n, 8.0)
+        dc = delone_constants(patch)
+        grid = grid_covering(patch, step)
+        assert grid <= dc.covering_lower <= grid + step * math.sqrt(2) / 2, (n, grid)
+        assert_empty_disk_in_window(patch, dc)
+
+
+@pytest.mark.parametrize("spec, n", [
+    ("rat:1/2", 10**6),
+    ("rat:13/21", 10**6),
+    ("dec:0.110001000000000000000001000000000000000000000000", 4 * 10**12),
+])
+def test_delone_collinear_window_covers_half_the_radius(spec, n):
+    """A window on one line through the origin has no Voronoi vertex; the
+    disk of radius W/2 beside the line gives the covering bound."""
+    patch = empirical_limit_patch(parse_angle(spec), n, 8.0)
+    assert len(patch.voronoi_vertices()) == 0
+    dc = delone_constants(patch)
+    assert 4.0 - patch.max_error - 1e-12 <= dc.covering_lower <= 4.0 - patch.max_error
+    assert_empty_disk_in_window(patch, dc)
 
 
 def test_large_partial_quotient_covering_spike():
@@ -117,9 +190,9 @@ def test_large_partial_quotient_covering_spike():
     alpha = DecimalAngle(digits, 160)
     cv = convergents(alpha, 8)
     n_spike = max(400, int(0.15 * cv[5].q * cv[6].q))
-    spike = delone_constants(empirical_limit_patch(alpha, n_spike, 12.0), 0.1)
-    base = delone_constants(empirical_limit_patch(GOLDEN, n_spike, 12.0), 0.1)
-    assert spike.covering_estimate > 2 * base.covering_estimate
+    spike = delone_constants(empirical_limit_patch(alpha, n_spike, 12.0))
+    base = delone_constants(empirical_limit_patch(GOLDEN, n_spike, 12.0))
+    assert spike.covering_lower > 2 * base.covering_lower
 
 
 def test_packing_stable_across_disjoint_windows():
@@ -127,7 +200,7 @@ def test_packing_stable_across_disjoint_windows():
     packs = []
     for n in (10**6, 10**6 + 250_000, 10**6 + 500_000):
         patch = empirical_limit_patch(GOLDEN, n, 10.0)
-        packs.append(delone_constants(patch, 0.2).packing)
+        packs.append(delone_constants(patch).packing)
     assert (max(packs) - min(packs)) / max(packs) < 0.10
 
 

@@ -329,6 +329,14 @@ def test_windows_stop_at_the_int64_limit():
         assert math.hypot(x - offsets[i, 0], y - offsets[i, 1]) <= errs[i] + err
 
 
+def test_index_past_the_int_to_str_limit_is_named_by_its_bit_length():
+    """Python refuses to write an int of more than 4,300 digits in decimal,
+    so a window about such an index raises InvalidSpec naming its bit
+    length, W and the limit, not ValueError."""
+    with pytest.raises(InvalidSpec, match="radius 8 about a 16610-bit n .* 2\\^63"):
+        recentered_window(GOLDEN, 10**5000, 8.0)
+
+
 # --- nearest neighbours -------------------------------------------------------
 
 def test_nn_rational_ray():
