@@ -74,9 +74,20 @@ def delone_constants(patch: Patch) -> DeloneConstants:
 
 
 def _shortest_axis(pts: np.ndarray):
-    """Angle in [0, pi) of the shortest nonzero point (0 if none); unit vectors along, across."""
-    norms = np.hypot(pts[:, 0], pts[:, 1])
-    x, y = pts[np.argmin(np.where(norms > 0, norms, np.inf))] if len(pts) else (0.0, 0.0)
+    """Angle in [0, pi) of the shortest nonzero point (0 if none); unit vectors along, across.
+
+    hypot is taken only where the squared norm is within a factor 1 + 1e-12
+    of its smallest positive value: points of equal hypot have squares a few
+    ulps apart, and a square that underflows (zero or below 1e-290) is always
+    kept, so the first shortest point is the one a full hypot would pick.
+    """
+    x, y = 0.0, 0.0
+    if len(pts):
+        with np.errstate(over="ignore"):  # an overflowed square is inf, never the shortest
+            sq = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
+        near = np.flatnonzero(sq <= np.min(sq, where=sq > 0, initial=np.inf) * (1 + 1e-12) + 1e-290)
+        norms = np.hypot(pts[near, 0], pts[near, 1])
+        x, y = pts[near[np.argmin(np.where(norms > 0, norms, np.inf))]]
     phi = math.atan2(y, x) % math.pi
     u = np.array([math.cos(phi), math.sin(phi)])
     return phi, u, np.array([-u[1], u[0]])
@@ -148,8 +159,10 @@ def empty_rectangle_search(patch: Patch, eps: float, length: float) -> Rectangle
     half_w = eps / 2 + VERIFY_MARGIN + pad
     # positive, as the window radius is at least hypot(length, eps) / 2 > eps / 2
     band = w_radius - eps / 2
-    # offset candidates: midpoints of cross-direction gaps first, then a grid
-    vals = np.unique(np.concatenate([pw, [-band, band]]))
+    # offset candidates: midpoints of cross-direction gaps first, then a grid.
+    # A repeated value leaves a zero gap, which the gap test below rejects as
+    # eps > 0, so sorting without dropping repeats gives np.unique's midpoints.
+    vals = np.sort(np.concatenate([pw, [-band, band]]))
     vals = vals[(vals >= -band - eps) & (vals <= band + eps)]
     gaps = np.diff(vals)
     mids = ((vals[:-1] + vals[1:]) / 2)[gaps >= eps + 2 * (VERIFY_MARGIN + pad)]

@@ -19,11 +19,13 @@ and nearest neighbours are a radius query on the same enumerator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from mpmath import iv, mp
+from mpmath.libmp import mpi_cos_sin
 
 from .errors import InvalidSpec, PrecisionExhausted, WindowTooLarge
 from .lattice2d import Basis2, gauss_reduce
@@ -76,6 +78,16 @@ class SpiralPoint:
     error_bound: float
 
 
+def _iv_cos_sin(ang, prec: int):
+    """Enclosures of the cosine and sine of the interval ``ang`` at ``prec`` bits.
+
+    One ``mpi_cos_sin`` call: ``iv.cos`` and ``iv.sin`` each make that call
+    and keep one half, so the pair is theirs endpoint for endpoint.
+    """
+    cos, sin = mpi_cos_sin(ang._mpi_, prec)
+    return iv.make_mpf(cos), iv.make_mpf(sin)
+
+
 def _position_iv(alpha: AngleSpec, n: int, prec: int):
     """Interval x_n = (x, y) at working precision ``prec``, and the enclosures
     (theta, cos, sin) of frac(alpha * n) and of its angle's cosine and sine."""
@@ -83,7 +95,7 @@ def _position_iv(alpha: AngleSpec, n: int, prec: int):
         theta = alpha.frac(n).interval(prec)
         ang = 2 * iv.pi * theta
         r = iv.sqrt(iv.mpf(n))
-        cos, sin = iv.cos(ang), iv.sin(ang)
+        cos, sin = _iv_cos_sin(ang, prec)
         return r * cos, r * sin, (theta, cos, sin)
 
 
@@ -131,6 +143,20 @@ def _convergent_pair(alpha: AngleSpec, k_max: int):
     return seq[-2], seq[-1]
 
 
+@functools.lru_cache(maxsize=1024)  # (angle, precision) pairs kept per process
+def _angle_midpoint(alpha: AngleSpec, prec: int):
+    """Midpoint of alpha's enclosure at ``prec`` bits, as an mp.mpf of ``prec`` bits."""
+    x = alpha.interval(prec)
+    with mp.workprec(prec):
+        return (mp.mpf(x.a) + mp.mpf(x.b)) / 2
+
+
+def _residue_prec(*ints: int) -> int:
+    """Working bits for residues q*alpha - p with |p|, q among ``ints``: the
+    difference cancels about bits(q) bits, so alpha is evaluated well past that."""
+    return 2 * max(2, *map(abs, ints)).bit_length() + 96
+
+
 def _lattice_box(alpha: AngleSpec, k_max: int, half_turns: float):
     """Lattice points (k, delta = k*alpha - p), |k| <= k_max, |delta| <= half_turns.
 
@@ -149,11 +175,9 @@ def _lattice_box(alpha: AngleSpec, k_max: int, half_turns: float):
     literal = float(k_max * half_width) * (1 + 4 * _U)
     half_turns += literal
     (pa, qa), (pb, qb) = _convergent_pair(alpha, k_max)
-    # q*alpha - p cancels about bits(q) bits; evaluate alpha well past that
-    prec = 2 * max(qa, qb, abs(pa), abs(pb), 2).bit_length() + 96
-    x = alpha.interval(prec)
+    prec = _residue_prec(qa, qb, pa, pb)
+    mid = _angle_midpoint(alpha, prec)
     with mp.workprec(prec):
-        mid = (mp.mpf(x.a) + mp.mpf(x.b)) / 2
         scale = k_max / half_turns
         t = gauss_reduce(Basis2((qa, float(qa * mid - pa) * scale),
                                 (qb, float(qb * mid - pb) * scale))).transform
@@ -315,8 +339,12 @@ def recentered_window(alpha: AngleSpec, n_center: int, radius: float, *,
     # before turning, and rounding of (ex, ey) and of the rotation stays in 8u.
     err += (radius + err) * (2 * math.pi * half_width + 8 * _U)
     keep = np.flatnonzero(dist <= radius + err)
-    m, first = np.unique(m[keep], return_index=True)
-    keep = keep[first]
+    # sorted by m, first listing of each index kept, as np.unique's return_index
+    order = keep[np.argsort(m[keep], kind="stable")]
+    m = m[order]
+    first = np.ones(len(m), dtype=bool)
+    first[1:] = m[1:] != m[:-1]
+    m, keep = m[first], order[first]
     dx, dy = dx[keep], dy[keep]
     shell = np.flatnonzero(dist[keep] > radius - err)
     if len(shell):
@@ -351,22 +379,44 @@ def offset_between(alpha: AngleSpec, m: int, n: int, prec: int | None = None):
 # nearest neighbours
 # ---------------------------------------------------------------------------
 
+def _neighbor_radius(alpha: AngleSpec, n: int, p: int, q: int) -> float:
+    """Upper bound on |x_{n-q} - x_n| from the residue delta = q*alpha - p.
+
+    |x_{n-q} - x_n|^2 = (sqrt(n) - sqrt(n-q))^2 + 4 sqrt(n) sqrt(n-q) sin^2(pi delta)
+    and sin x <= x, so hypot(q / (sqrt(n) + sqrt(n-q)), 2 pi (sqrt(n) sqrt(n-q))^(1/2)
+    |delta|) bounds it.  |delta| is evaluated once at the precision the window
+    enumerator uses for its residues; a decimal literal adds q times its
+    half-ulp, which covers every angle the literal stands for.  The float
+    rounding, a few units of 2^-53 relative, is far inside the 1e-12 margin.
+    """
+    exact, half_width = alpha.midpoint()
+    prec = _residue_prec(q, p)
+    with mp.workprec(prec):
+        delta = abs(float(q * _angle_midpoint(exact, prec) - p)) + float(q * half_width)
+    rn, rm = math.sqrt(n), math.sqrt(n - q)
+    bound = math.hypot(q / (rn + rm), 2 * math.pi * math.sqrt(rn * rm) * delta)
+    return bound * (1 + 1e-12) + 1e-9
+
+
 def nearest_neighbor(alpha: AngleSpec, n: int):
     """Nearest neighbour of x_n: a radius query on the window enumerator.
 
     Returns (m, distance) minimizing |x_m - x_n| over m != n, m >= 1;
-    ties break toward smaller m.  The query radius is the distance to
-    x_{n-q} for the largest convergent denominator q <= sqrt(n), an upper
-    bound that keeps every possible competitor.  Raises PrecisionExhausted
-    when the window's error bound exceeds 1e-9 (a decimal literal too coarse
-    for n).
+    ties break toward smaller m.  The query radius is a closed-form upper
+    bound on the distance to x_{n-q} for the largest convergent denominator
+    q <= sqrt(n) (see ``_neighbor_radius``), so it keeps every possible
+    competitor.  Raises InvalidSpec for n at or past the int64 limit 2^63,
+    and PrecisionExhausted when the window's error bound exceeds 1e-9 (a
+    decimal literal too coarse for n).
     """
     if n < 2:
         raise InvalidSpec("need an index with at least one smaller-index competitor")
-    q = largest_denominator_at_most(alpha, math.isqrt(n)).q
-    p0 = spiral_point(alpha, n)
-    p1 = spiral_point(alpha, n - q)
-    r0 = math.hypot(p0.x - p1.x, p0.y - p1.y) * (1 + 1e-12) + 1e-9
+    if n >= _INDEX_LIMIT:
+        # checked before any float of n is formed: past 2^1024 float(n) overflows
+        name = f"n={n}" if n.bit_length() <= 2000 else f"n of {n.bit_length()} bits"
+        raise InvalidSpec(f"nearest neighbour: index {name} is past the int64 limit 2^63")
+    c = largest_denominator_at_most(alpha, math.isqrt(n))
+    r0 = _neighbor_radius(alpha, n, c.p, c.q)
     ms, _, _, dist, err = _candidates(alpha, n, r0, 1)
     # float distances within err of the truth keep every competitor of the
     # winner inside the 2e-9 tie band below; a coarse literal's err does not

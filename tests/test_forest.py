@@ -377,6 +377,35 @@ def test_first_direction_is_the_shortest_point():
     assert min(ray, math.pi - ray) > 0.1  # not 0, where a grid fixed to the axes starts
 
 
+def test_shortest_axis_matches_a_full_hypot_scan():
+    """The shortest point is found from squared norms with hypot taken only
+    near their minimum; the angle is the one a hypot of every point gives,
+    with the first of equally short points, at magnitudes whose squares
+    underflow or overflow, on the origin alone and on a dense window."""
+
+    def full_scan(pts):
+        norms = np.hypot(pts[:, 0], pts[:, 1])
+        x, y = pts[np.argmin(np.where(norms > 0, norms, np.inf))] if len(pts) else (0.0, 0.0)
+        return math.atan2(y, x) % math.pi
+
+    rng = np.random.default_rng(37)
+    cases = [np.empty((0, 2)), np.zeros((1, 2)), np.array([[0.0, 0.0], [1e-200, 0.0]])]
+    for _ in range(3000):
+        k = int(rng.integers(2, 12))
+        scale = 10.0 ** rng.choice([-200, -162, -161, -150, 0, 3, 150, 160, 200])
+        pts = rng.uniform(-3, 3, (k, 2)) * scale
+        if rng.random() < 0.5:
+            pts = np.round(pts / scale) * scale
+        # equally short and at another angle: the mirror image, or the point
+        # of the same hypot on the x axis, whose square differs by some ulps
+        pts[1] = pts[0, ::-1] if rng.random() < 0.5 else (np.hypot(*pts[0]), 0.0)
+        cases.append(pts)
+    _, offsets, _ = recentered_window(RationalAngle(13, 21), 10**6 + 5, 12.0)
+    cases.append(offsets)
+    for pts in cases:
+        assert forest._shortest_axis(pts)[0] == full_scan(pts), pts
+
+
 def test_search_without_witness_scans_one_direction():
     """A search that finds nothing projects the window on one pair of axes,
     along its shortest point and across it, and sweeps no other direction."""

@@ -7,7 +7,7 @@ import pytest
 import window_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import iv, mp
 
 from spirallimits import (
     GOLDEN,
@@ -19,7 +19,9 @@ from spirallimits import (
 )
 from spirallimits import spiral
 from spirallimits.chabauty_metric import Patch
-from spirallimits.number_theory import convergents, parse_angle
+from spirallimits.number_theory import (
+    _iv_prec, convergents, largest_denominator_at_most, parse_angle,
+)
 from spirallimits.spiral import (
     angle_fraction,
     nearest_neighbor,
@@ -125,6 +127,44 @@ def test_consecutive_angle_rotation():
         ua = complex(a.x, a.y) / math.hypot(a.x, a.y)
         ub = complex(b.x, b.y) / math.hypot(b.x, b.y)
         assert abs(ub - ua * rot) < 1e-9
+
+
+def _same_interval(a, b):
+    return a._mpi_ == b._mpi_
+
+
+def test_position_cos_sin_are_iv_cos_and_sin():
+    """The one cos/sin evaluation of a position gives iv.cos and iv.sin of its
+    angle endpoint for endpoint, at seeded angles, indices and precisions,
+    and on a 40-digit literal's enclosures as wide as 0.01 turns."""
+    rng = np.random.default_rng(32)
+    alphas = [parse_angle(s) for s in ("rat:13/21", "quad:5,-3,7,11") + IRRATIONAL_SPECS]
+    cases = [(a, int(n), int(p)) for a in alphas
+             for n, p in zip(rng.integers(0, 2**62, 6), rng.integers(53, 400, 6))]
+    lit = parse_angle(DEC40)
+    cases += [(lit, n, 200) for n in (10**37 + 3, 3 * 10**37 + 1, 10**38 + 7)]
+    for alpha, n, prec in cases:
+        x, y, (theta, cos, sin) = spiral._position_iv(alpha, n, prec)
+        with _iv_prec(prec):
+            ang = 2 * iv.pi * theta
+            assert _same_interval(cos, iv.cos(ang)) and _same_interval(sin, iv.sin(ang))
+            r = iv.sqrt(iv.mpf(n))
+            assert _same_interval(x, r * iv.cos(ang)) and _same_interval(y, r * iv.sin(ang))
+    assert float(spiral._position_iv(lit, 10**38 + 7, 200)[2][0].delta) > 0.009
+
+
+def test_cos_sin_pair_across_quadrants():
+    """Enclosures that contain a multiple of pi/2, where cos or sin reaches
+    an extreme or changes sign, and ones wider than a turn."""
+    rng = np.random.default_rng(33)
+    for k in range(-4, 9):
+        for half in (1e-30, 1e-6, 0.3, 2.0, 7.0):
+            prec = int(rng.integers(53, 300))
+            with _iv_prec(prec):
+                mid = k * iv.pi / 2
+                ang = iv.mpf([mid.a - half, mid.b + half])
+                cos, sin = spiral._iv_cos_sin(ang, prec)
+                assert _same_interval(cos, iv.cos(ang)) and _same_interval(sin, iv.sin(ang))
 
 
 # --- windows -----------------------------------------------------------------
@@ -410,3 +450,82 @@ def test_coarse_literal_nearest_neighbor_raises():
     m, dist = nearest_neighbor(parse_angle(DEC40), n)
     m_golden, dist_golden = nearest_neighbor(GOLDEN, n)
     assert m == m_golden and abs(dist - dist_golden) <= 1e-9
+
+
+def _old_neighbor_radius(alpha, n, p, q):
+    """The query radius before the closed form: the float distance between
+    two exported spiral points."""
+    p0, p1 = spiral_point(alpha, n), spiral_point(alpha, n - q)
+    return math.hypot(p0.x - p1.x, p0.y - p1.y) * (1 + 1e-12) + 1e-9
+
+
+NN_SPECS = ("quad:1,1,2,5", "quad:0,1,1,2", "quad:5,-3,7,11", "rat:13/21", DEC40)
+
+
+@pytest.mark.parametrize("spec", NN_SPECS)
+def test_neighbor_radius_bounds_the_distance_to_x_n_minus_q(spec):
+    """The closed-form radius is at least the certified distance
+    |x_{n-q} - x_n| plus its error bound, from n = 2 to 2^62.  The float
+    difference of two spiral points it replaces fell below that distance by
+    up to 1.8e-7 from n = 1e15 on."""
+    alpha = parse_angle(spec)
+    rng = np.random.default_rng(34)
+    ns = [2, 3, 10, 2**62] + [int(2 ** e) for e in rng.uniform(1, 62, 40)]
+    for n in ns:
+        c = largest_denominator_at_most(alpha, math.isqrt(n))
+        r = spiral._neighbor_radius(alpha, n, c.p, c.q)
+        x, y, err = offset_between(alpha, n - c.q, n)
+        assert r >= math.hypot(x, y) + err, (n, r, math.hypot(x, y), err)
+
+
+def test_literal_neighbor_radius_covers_both_ends():
+    """A decimal literal's radius covers every angle it stands for: with the
+    literal's own (p, q), it bounds the distance at both ends of a 16-digit
+    literal.  Without the q * half-ulp term it falls short from n = 1e8 on."""
+    lit = parse_angle(COARSE)
+    ends = [RationalAngle(v.numerator, v.denominator) for v in lit.bounds_fraction()]
+    rng = np.random.default_rng(36)
+    for n in [int(10**e) for e in rng.uniform(1, 15, 30)]:
+        c = largest_denominator_at_most(lit, math.isqrt(n))
+        r = spiral._neighbor_radius(lit, n, c.p, c.q)
+        for end in ends:
+            x, y, err = offset_between(end, n - c.q, n)
+            assert r >= math.hypot(x, y) + err, (n, end)
+
+
+@pytest.mark.parametrize("spec", NN_SPECS)
+def test_nn_matches_the_two_point_radius(spec, monkeypatch):
+    """From n = 3e3 to 1e15 the closed-form radius gives the same neighbour
+    and the same distance, bit for bit, as the radius taken from two
+    spiral points."""
+    alpha = parse_angle(spec)
+    rng = np.random.default_rng(35)
+    ns = [int(10**e) for e in rng.uniform(3.5, 15, 24)]
+    new = [nearest_neighbor(alpha, n) for n in ns]
+    monkeypatch.setattr(spiral, "_neighbor_radius", _old_neighbor_radius)
+    assert new == [nearest_neighbor(alpha, n) for n in ns]
+
+
+def test_nn_small_indices_keep_their_neighbour(monkeypatch):
+    """Below a few thousand the two radii can lead the Gauss reduction of the
+    window box to two equally short bases, whose gap floats differ in the
+    last bit: golden n = 11 and 368, sqrt 2 n = 478 and 479 give a distance
+    one or two ulps apart.  The neighbour is the same at every n."""
+    ns = range(2, 600)
+    new = {a: [nearest_neighbor(a, n) for n in ns] for a in (GOLDEN, SQRT2)}
+    monkeypatch.setattr(spiral, "_neighbor_radius", _old_neighbor_radius)
+    for alpha, results in new.items():
+        for n, (m, d) in zip(ns, results):
+            m_old, d_old = nearest_neighbor(alpha, n)
+            assert m == m_old and abs(d - d_old) <= 2 * math.ulp(d), (n, d, d_old)
+
+
+def test_nn_huge_index_names_the_int64_limit():
+    """Indices at or past 2^63 raise InvalidSpec naming the limit before any
+    float of n is formed: 10^400 overflows a float, and before the check its
+    two spiral points (|x| = 1e200) cancelled to a radius of 1e-9."""
+    for n in (2**63, 2**63 + 5, 10**400):
+        with pytest.raises(InvalidSpec, match=f"n={n} .*int64 limit 2\\^63"):
+            nearest_neighbor(GOLDEN, n)
+    with pytest.raises(InvalidSpec, match="n of 16610 bits .*int64 limit 2\\^63"):
+        nearest_neighbor(GOLDEN, 10**5000)
